@@ -64,4 +64,13 @@ std::string WorkloadSpec::name() const {
   return "?";
 }
 
+WorkloadKind workload_from_name(const std::string& name) {
+  if (name == "counter") return WorkloadKind::kCounter;
+  if (name == "pingpong") return WorkloadKind::kPingPong;
+  if (name == "bank") return WorkloadKind::kBank;
+  if (name == "gossip") return WorkloadKind::kGossip;
+  if (name == "service") return WorkloadKind::kService;
+  throw std::invalid_argument("unknown workload '" + name + "'");
+}
+
 }  // namespace optrec

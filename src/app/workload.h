@@ -33,4 +33,8 @@ struct WorkloadSpec {
   std::string name() const;
 };
 
+/// Inverse of WorkloadSpec::name(); throws std::invalid_argument on
+/// unknown names.
+WorkloadKind workload_from_name(const std::string& name);
+
 }  // namespace optrec

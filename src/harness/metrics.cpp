@@ -15,6 +15,19 @@ std::uint64_t Metrics::max_rollbacks_per_process_per_failure() const {
   return worst;
 }
 
+std::uint64_t progress_signature(const Metrics& m) {
+  std::uint64_t sig = 0;
+  for (std::uint64_t v :
+       {m.app_messages_sent, m.messages_delivered,
+        m.messages_discarded_obsolete, m.messages_discarded_duplicate,
+        m.messages_postponed, m.postponed_released, m.messages_replayed,
+        m.messages_requeued_after_rollback, m.crashes, m.restarts,
+        m.rollbacks, m.tokens_processed, m.retransmissions}) {
+    sig = mix_signature(sig, v);
+  }
+  return sig;
+}
+
 double Metrics::piggyback_per_message() const {
   if (app_messages_sent == 0) return 0.0;
   return static_cast<double>(piggyback_bytes) /

@@ -101,4 +101,15 @@ struct Metrics {
   std::string summary() const;
 };
 
+/// One word that changes whenever a process makes application-relevant
+/// progress (sends, deliveries, discards, postponements, replays, crashes,
+/// rollbacks, tokens, retransmissions). Every backend's quiescence detector
+/// folds these words and requires them to hold still across a settle window.
+std::uint64_t progress_signature(const Metrics& m);
+
+/// The mixing step of every signature fold: `sig * 1000003 + v`.
+inline std::uint64_t mix_signature(std::uint64_t sig, std::uint64_t v) {
+  return sig * 1000003u + v;
+}
+
 }  // namespace optrec

@@ -77,7 +77,6 @@ void LiveTransport::push_wire(ProcessId src, ProcessId dst, FrameRef wire,
   f.token = token;
   f.sent_at = clock_.now();
   f.not_before = link_clear_at(src, dst, f.sent_at + delay);
-  frames_pushed_.fetch_add(1, std::memory_order_acq_rel);
   channels_.at(dst)->push(std::move(f));
 }
 
@@ -199,15 +198,15 @@ void LiveTransport::send_token(ProcessId dst, const Token& token) {
             /*app=*/false, /*token=*/true, draw_delay(rng));
 }
 
+// Deliveries are counted with release order: a quiescence check that sees
+// the delivery also sees every send its handler made.
 void LiveTransport::note_delivered_message(bool app) {
   messages_delivered_.fetch_add(1, std::memory_order_relaxed);
-  if (app) app_messages_delivered_.fetch_add(1, std::memory_order_relaxed);
-  frames_handled_.fetch_add(1, std::memory_order_acq_rel);
+  if (app) app_messages_delivered_.fetch_add(1, std::memory_order_release);
 }
 
 void LiveTransport::note_delivered_token() {
-  tokens_delivered_.fetch_add(1, std::memory_order_relaxed);
-  frames_handled_.fetch_add(1, std::memory_order_acq_rel);
+  tokens_delivered_.fetch_add(1, std::memory_order_release);
 }
 
 void LiveTransport::note_retry(bool token) {

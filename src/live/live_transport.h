@@ -94,13 +94,6 @@ class LiveTransport : public Transport {
   /// simulator: message retries are counted, token retries are silent.
   void note_retry(bool token);
 
-  /// Wire frames pushed but not yet handed to an endpoint (includes frames
-  /// parked for a down receiver).
-  std::uint64_t frames_in_flight() const {
-    return frames_pushed_.load(std::memory_order_acquire) -
-           frames_handled_.load(std::memory_order_acquire);
-  }
-
   /// Application messages accepted but not yet handed to an endpoint; zero
   /// is a necessary condition for quiescence (Network has the same query).
   /// Loads delivered/dropped before sent/duplicated so a racing snapshot
@@ -120,6 +113,12 @@ class LiveTransport : public Transport {
     const std::uint64_t delivered =
         tokens_delivered_.load(std::memory_order_acquire);
     return tokens_sent_.load(std::memory_order_acquire) - delivered;
+  }
+  /// Application work in flight: app messages plus tokens. Control traffic
+  /// (stability gossip, baseline acks and markers) is not work and never
+  /// counts — the quiet rule every backend shares (src/live/worker_host.h).
+  std::uint64_t work_in_flight() const {
+    return app_messages_in_flight() + tokens_in_flight();
   }
 
   /// Counter snapshot, shaped like Network::Stats so reporting code treats
@@ -162,8 +161,6 @@ class LiveTransport : public Transport {
   std::thread fanout_thread_;
 
   std::atomic<MsgId> next_msg_id_{1};
-  std::atomic<std::uint64_t> frames_pushed_{0};
-  std::atomic<std::uint64_t> frames_handled_{0};
 
   // Counter block: relaxed atomics, snapshotted by stats().
   std::atomic<std::uint64_t> messages_sent_{0};

@@ -4,42 +4,20 @@
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
+#include "src/durable/durable_storage.h"
+#include "src/telemetry/wiring.h"
 #include "src/util/json.h"
-#include "src/wire/wire_codec.h"
 
 namespace optrec {
-
-namespace {
-
-/// Same counter mix as LiveRuntime / Scenario::progress_signature, computed
-/// over one worker's private Metrics and published as one atomic word.
-std::uint64_t local_signature(const Metrics& m) {
-  std::uint64_t sig = 0;
-  const auto mix = [&sig](std::uint64_t v) { sig = sig * 1000003u + v; };
-  mix(m.app_messages_sent);
-  mix(m.messages_delivered);
-  mix(m.messages_discarded_obsolete);
-  mix(m.messages_discarded_duplicate);
-  mix(m.messages_postponed);
-  mix(m.postponed_released);
-  mix(m.messages_replayed);
-  mix(m.messages_requeued_after_rollback);
-  mix(m.crashes);
-  mix(m.restarts);
-  mix(m.rollbacks);
-  mix(m.tokens_processed);
-  mix(m.retransmissions);
-  return sig;
-}
-
-}  // namespace
 
 TcpNode::TcpNode(TcpNodeConfig config)
     : config_(std::move(config)),
       transport_(clock_, config_.topology, config_.node, config_.seed,
-                 config_.epoch) {
+                 config_.epoch),
+      host_(clock_, transport_, config_.max_block) {
   const TcpTopology& topo = config_.topology;
   topo.validate();
   if (config_.node >= topo.nodes.size()) {
@@ -60,41 +38,39 @@ TcpNode::TcpNode(TcpNodeConfig config)
   for (ProcessId pid = 0; pid < topo.n; ++pid) {
     const std::uint64_t rng_seed = seeder.next_u64();
     if (!transport_.is_local(pid)) continue;
-    auto w = std::make_unique<Worker>(rng_seed);
-    w->pid = pid;
-    w->timers = std::make_unique<WorkerTimers>(clock_);
-    w->proc = make_protocol_process(
-        config_.protocol, RuntimeEnv(clock_, *w->timers, transport_), pid,
-        topo.n, factory(pid, topo.n), config_.process, w->metrics,
-        config_.oracle);
-    w->proc->set_trace(config_.trace);
-    w->gauges = std::make_unique<telemetry::ProcessGauges>(registry_, pid);
-    w->latency_live = &registry_.histogram(
+    HostedWorker& w =
+        host_.add(pid, rng_seed, config_.protocol, topo.n,
+                  factory(pid, topo.n), config_.process, config_.oracle,
+                  config_.trace);
+    w.gauges = std::make_unique<telemetry::ProcessGauges>(registry_, pid);
+    w.latency_live = &registry_.histogram(
         "optrec_delivery_latency_us", "Send-to-handler delivery latency",
         {{"pid", std::to_string(pid)}});
-    if (!config_.data_dir.empty()) {
-      DurableOptions dopts;
-      dopts.dir = config_.data_dir + "/p" + std::to_string(pid);
-      w->durable = std::make_unique<DurableBackend>(std::move(dopts));
-      // Warm recovery rebuilds the exact pre-kill storage, which the shared
-      // oracle cannot follow across incarnations — in-process clusters with
-      // an oracle attached always recover cold.
-      if (config_.recover && !config_.recover_cold &&
-          config_.oracle == nullptr) {
-        w->recovery = w->durable->recover_into(w->proc->storage());
-        w->warm = w->recovery.warm;
+    if (config_.data_dir.empty()) continue;
+    DurableOptions dopts;
+    dopts.dir = config_.data_dir + "/p" + std::to_string(pid);
+    w.durable = std::make_unique<DurableBackend>(std::move(dopts));
+    // Warm recovery rebuilds the exact pre-kill storage, which the shared
+    // oracle cannot follow across incarnations — in-process clusters with
+    // an oracle attached always recover cold.
+    if (config_.recover && !config_.recover_cold &&
+        config_.oracle == nullptr) {
+      const RecoveryResult recovery =
+          w.durable->recover_into(w.proc->storage());
+      w.warm = recovery.warm;
+      if (w.warm) {
+        ++warm_recovered_;
+        recovered_delivered_ += recovery.recovered_delivered;
       }
-      if (!w->warm) w->durable->start_fresh();
-      w->proc->storage().attach_sink(w->durable.get());
-      w->flush_latency_live = &registry_.histogram(
-          "optrec_wal_flush_latency_us", "WAL group-commit fsync latency",
-          {{"pid", std::to_string(pid)}});
-      telemetry::AtomicHistogram* hist = w->flush_latency_live;
-      w->durable->set_flush_latency_hook([hist](std::uint64_t us) {
-        hist->observe(static_cast<double>(us));
-      });
     }
-    workers_.push_back(std::move(w));
+    if (!w.warm) w.durable->start_fresh();
+    w.proc->storage().attach_sink(w.durable.get());
+    telemetry::AtomicHistogram* hist = &registry_.histogram(
+        "optrec_wal_flush_latency_us", "WAL group-commit fsync latency",
+        {{"pid", std::to_string(pid)}});
+    w.durable->set_flush_latency_hook([hist](std::uint64_t us) {
+      hist->observe(static_cast<double>(us));
+    });
   }
   setup_telemetry();
   setup_service();
@@ -161,7 +137,7 @@ void TcpNode::setup_service() {
     add("optrec_service_wrong_node_total", frontend_->wrong_node_replies());
     add("optrec_service_protocol_errors_total", frontend_->protocol_errors());
   });
-  for (auto& w : workers_) {
+  for (const auto& w : host_.workers()) {
     w->proc->set_output_listener(
         [this, &gated, &released, &gate_latency](OutputEvent event,
                                                  const CommittedOutput& out) {
@@ -240,7 +216,7 @@ void TcpNode::setup_telemetry() {
       gauge("optrec_tcp_outbound_queue_high_water", node, hw);
     }
     // Per-process inbox ring high water (lock-free, same scrape).
-    for (const auto& w : workers_) {
+    for (const auto& w : host_.workers()) {
       telemetry::Sample sample;
       sample.name = "optrec_channel_ring_high_water";
       sample.labels = {{"pid", std::to_string(w->pid)}};
@@ -278,7 +254,7 @@ void TcpNode::setup_telemetry() {
       };
       constexpr auto kCounter = telemetry::SampleKind::kCounter;
       constexpr auto kGauge = telemetry::SampleKind::kGauge;
-      for (const auto& w : workers_) {
+      for (const auto& w : host_.workers()) {
         if (!w->durable) continue;
         const std::string pid = std::to_string(w->pid);
         const DurableStatsSnapshot s = w->durable->stats();
@@ -347,7 +323,7 @@ void TcpNode::setup_telemetry() {
       w.kv("latency_p99_us", b.latency_p99_us);
       w.end_object();
     };
-    row(config_.node, local_quiet(), 0, stats_block());
+    row(config_.node, host_.quiet(), 0, stats_block());
     const auto statuses = transport_.peer_statuses();
     const SimTime now = clock_.now();
     for (const auto& slot : statuses) {
@@ -366,7 +342,7 @@ void TcpNode::setup_telemetry() {
 NodeStatsBlock TcpNode::stats_block() const {
   NodeStatsBlock b;
   telemetry::FixedHistogram latency;
-  for (const auto& w : workers_) {
+  for (const auto& w : host_.workers()) {
     b.app_sent += w->gauges->sent();
     b.delivered += w->gauges->delivered();
     b.orphaned += w->gauges->orphaned();
@@ -386,162 +362,9 @@ NodeStatsBlock TcpNode::stats_block() const {
 
 TcpNode::~TcpNode() {
   // Emergency shutdown for runs abandoned mid-flight (run() normally joins
-  // everything itself).
-  for (auto& w : workers_) {
-    if (!w->joined) {
-      LiveFrame f;
-      f.kind = LiveFrame::Kind::kStop;
-      transport_.channel(w->pid).push(std::move(f));
-    }
-  }
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
+  // everything itself): workers first, then the IO thread they feed.
+  host_.stop_all();
   transport_.stop();
-}
-
-void TcpNode::sync_mirrors(Worker& w) {
-  w.up.store(w.proc->is_up(), std::memory_order_release);
-  w.pending.store(w.proc->pending_count(), std::memory_order_release);
-  w.signature.store(local_signature(w.metrics), std::memory_order_release);
-  // Mirror the worker-private Metrics into the registry at the same cadence
-  // (relaxed stores; the telemetry endpoint reads them from the IO thread).
-  w.gauges->update(w.metrics);
-  w.gauges->set_up(w.proc->is_up());
-  if (w.durable) {
-    w.stable_mem.store(w.proc->storage().stable_bytes(),
-                       std::memory_order_relaxed);
-  }
-}
-
-void TcpNode::spawn(Worker& w) {
-  w.joined = false;
-  w.state.store(WorkerState::kRunning, std::memory_order_release);
-  w.thread = std::thread([this, &w] { worker_main(w); });
-}
-
-void TcpNode::worker_main(Worker& w) {
-  const auto exit_as = [this, &w](WorkerState state) {
-    w.state.store(state, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(exit_mu_);
-      exited_.push_back(w.pid);
-    }
-    exit_cv_.notify_all();
-  };
-
-  if (!w.started) {
-    // A warm worker's storage was rebuilt from disk pre-spawn; boot through
-    // the restart path (announce failure at the restored point, replay the
-    // stable log) instead of the fresh-process path.
-    if (w.warm) {
-      w.proc->start_recovered();
-    } else {
-      w.proc->start();
-    }
-    w.started = true;
-    sync_mirrors(w);
-  }
-  LiveChannel& channel = transport_.channel(w.pid);
-  for (;;) {
-    w.timers->fire_due();
-    sync_mirrors(w);
-    const SimTime wait_until =
-        std::min(w.timers->next_deadline(), clock_.now() + config_.max_block);
-    std::optional<LiveFrame> frame =
-        channel.pop_ready(clock_, wait_until, w.rng);
-    if (!frame) continue;
-
-    if (frame->kind == LiveFrame::Kind::kStop) {
-      exit_as(WorkerState::kExitedStop);
-      return;
-    }
-    if (frame->kind == LiveFrame::Kind::kCrash) {
-      crashes_pending_.fetch_sub(1, std::memory_order_acq_rel);
-      if (!w.proc->is_up()) continue;  // crash() would no-op while down
-      w.proc->crash();  // wipes volatile state, schedules the restart timer
-      sync_mirrors(w);
-      exit_as(WorkerState::kExitedCrash);
-      return;  // genuine thread death; the supervisor respawns us
-    }
-
-    // kWire. While down, park the frame and retry later — the reliable
-    // transport of the paper's model.
-    if (!w.proc->is_up()) {
-      transport_.note_retry(frame->token);
-      frame->not_before = clock_.now() + transport_.faults().retry_interval;
-      channel.push(std::move(*frame));
-      continue;
-    }
-    const Frame decoded = decode_frame(frame->wire.bytes());
-    const double lat = static_cast<double>(clock_.now() - frame->sent_at);
-    w.latency_us.observe(lat);
-    w.latency_live->observe(lat);
-    if (decoded.type == FrameType::kMessage) {
-      w.proc->on_message(decoded.message);
-      // Count the delivery only after the handler ran, so the quiescence
-      // claim never sees a transient "nothing in flight" mid-handler.
-      transport_.note_delivered_message(decoded.message.kind ==
-                                        MessageKind::kApp);
-    } else {
-      w.proc->on_token(decoded.token);
-      transport_.note_delivered_token();
-    }
-    sync_mirrors(w);
-  }
-}
-
-void TcpNode::drain_exited(bool respawn_crashed, SimTime wait) {
-  std::vector<ProcessId> batch;
-  {
-    std::unique_lock<std::mutex> lock(exit_mu_);
-    if (exited_.empty() && wait > 0) {
-      exit_cv_.wait_for(lock, std::chrono::microseconds(wait),
-                        [this] { return !exited_.empty(); });
-    }
-    batch.swap(exited_);
-  }
-  for (ProcessId pid : batch) {
-    for (auto& w : workers_) {
-      if (w->pid != pid) continue;
-      if (w->thread.joinable()) w->thread.join();
-      w->joined = true;
-      if (respawn_crashed && w->state.load(std::memory_order_acquire) ==
-                                 WorkerState::kExitedCrash) {
-        spawn(*w);
-      }
-      break;
-    }
-  }
-}
-
-bool TcpNode::all_joined() const {
-  for (const auto& w : workers_) {
-    if (!w->joined) return false;
-  }
-  return true;
-}
-
-bool TcpNode::local_quiet() const {
-  if (crashes_pending_.load(std::memory_order_acquire) != 0) return false;
-  for (const auto& w : workers_) {
-    if (w->state.load(std::memory_order_acquire) != WorkerState::kRunning) {
-      return false;
-    }
-    if (!w->up.load(std::memory_order_acquire)) return false;
-    if (w->pending.load(std::memory_order_acquire) != 0) return false;
-  }
-  if (transport_.frames_in_flight() != 0) return false;
-  if (transport_.outbound_pending() != 0) return false;
-  return true;
-}
-
-std::uint64_t TcpNode::local_signature_word() const {
-  std::uint64_t sig = 0;
-  for (const auto& w : workers_) {
-    sig = sig * 1000003u + w->signature.load(std::memory_order_acquire);
-  }
-  return sig * 1000003u + transport_.stats().messages_dropped;
 }
 
 void TcpNode::coordinate_shutdown(std::uint8_t exit_code, SimTime grace) {
@@ -552,7 +375,7 @@ void TcpNode::coordinate_shutdown(std::uint8_t exit_code, SimTime grace) {
     if (clock_.now() >= deadline) return;
     // Keep respawning crashed workers while the broadcast settles; the
     // cluster is quiet, but restart timers may still be running down.
-    drain_exited(/*respawn_crashed=*/true, millis(5));
+    host_.drain_exited(/*respawn_crashed=*/true, millis(5));
   }
 }
 
@@ -564,46 +387,32 @@ TcpNodeResult TcpNode::run() {
   // recover mode — an immediate crash of every local process, announcing
   // the killed incarnation's failure to the cluster.
   for (const CrashEvent& c : config_.crashes) {
-    if (!transport_.is_local(c.pid)) continue;
-    LiveFrame f;
-    f.kind = LiveFrame::Kind::kCrash;
-    f.not_before = c.at;
-    f.sent_at = c.at;
-    transport_.channel(c.pid).push(std::move(f));
-    crashes_pending_.fetch_add(1, std::memory_order_acq_rel);
+    if (transport_.is_local(c.pid)) host_.plan_crash(c.pid, c.at);
   }
   if (config_.recover) {
-    for (const auto& w : workers_) {
+    for (const auto& w : host_.workers()) {
       // Warm workers already announce their failure (at the restored point)
       // from start_recovered(); only pids with no usable durable state get
       // the crash-announce-all treatment.
-      if (w->warm) continue;
-      LiveFrame f;
-      f.kind = LiveFrame::Kind::kCrash;
-      f.not_before = millis(1);
-      f.sent_at = millis(1);
-      transport_.channel(w->pid).push(std::move(f));
-      crashes_pending_.fetch_add(1, std::memory_order_acq_rel);
+      if (!w->warm) host_.plan_crash(w->pid, millis(1));
     }
   }
 
   transport_.start();
-  for (auto& w : workers_) spawn(*w);
+  host_.start();
 
   const bool coordinator = config_.node == 0;
   const SimTime staleness =
       std::max<SimTime>(3 * config_.status_interval, millis(100));
   bool quiesced = false;
   int exit_code = 4;
-  bool have_sig = false;
-  std::uint64_t last_sig = 0;
-  SimTime sig_since = 0;
+  SettleDetector settle(config_.settle);
   std::uint64_t status_seq = 0;
   SimTime last_status = 0;
   bool last_sent_quiet = false;
 
   for (;;) {
-    drain_exited(/*respawn_crashed=*/true, config_.status_interval);
+    host_.drain_exited(/*respawn_crashed=*/true, config_.status_interval);
     const SimTime now = clock_.now();
 
     std::uint8_t code = 0;
@@ -618,8 +427,8 @@ TcpNodeResult TcpNode::run() {
       break;
     }
 
-    const bool quiet = local_quiet();
-    const std::uint64_t sig = local_signature_word();
+    const bool quiet = host_.quiet();
+    const std::uint64_t sig = host_.signature();
     quiet_gauge_->set(quiet ? 1 : 0);
 
     if (!coordinator) {
@@ -657,20 +466,10 @@ TcpNodeResult TcpNode::run() {
           all_quiet = false;
           break;
         }
-        combined = combined * 1000003u + slot->first.signature;
+        combined = mix_signature(combined, slot->first.signature);
       }
     }
-    if (!all_quiet) {
-      have_sig = false;
-      continue;
-    }
-    if (!have_sig || combined != last_sig) {
-      have_sig = true;
-      last_sig = combined;
-      sig_since = now;
-      continue;
-    }
-    if (now - sig_since >= config_.settle) {
+    if (settle.observe(now, all_quiet, combined)) {
       quiesced = true;
       exit_code = 0;
       break;
@@ -685,14 +484,7 @@ TcpNodeResult TcpNode::run() {
                         exit_code == 0 ? seconds(2) : millis(300));
   }
 
-  for (auto& w : workers_) {
-    LiveFrame f;
-    f.kind = LiveFrame::Kind::kStop;
-    transport_.channel(w->pid).push(std::move(f));
-  }
-  while (!all_joined()) {
-    drain_exited(/*respawn_crashed=*/false, millis(50));
-  }
+  host_.stop_all();
 
   // Give queued control traffic (shutdown acks, final token acks) a short
   // window to reach the wire before sockets close.
@@ -706,16 +498,13 @@ TcpNodeResult TcpNode::run() {
   result.exit_code = exit_code;
   result.quiesced = quiesced;
   result.wall_time = clock_.now();
-  for (auto& w : workers_) {
-    result.metrics.merge_from(w->metrics);
-    result.delivery_latency_us.merge_from(w->latency_us);
+  host_.merge_into(result.metrics, result.delivery_latency_us);
+  result.durable.warm_recovered = warm_recovered_;
+  result.durable.recovered_delivered = recovered_delivered_;
+  for (const auto& w : host_.workers()) {
     if (!w->durable) continue;
     auto& d = result.durable;
     d.enabled = true;
-    if (w->warm) {
-      ++d.warm_recovered;
-      d.recovered_delivered += w->recovery.recovered_delivered;
-    }
     const DurableStatsSnapshot s = w->durable->stats();
     d.replayed_messages += s.replayed_messages;
     d.replayed_tokens += s.replayed_tokens;

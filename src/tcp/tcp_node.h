@@ -1,18 +1,20 @@
 // TcpNode: one node's share of a TCP-backed recovery fleet.
 //
 // Hosts the protocol processes the topology assigns to this node, each as
-// a real OS thread (the same worker loop as src/live/LiveRuntime: private
-// timers, private metrics, crash = thread death + supervisor respawn),
-// wired to a TcpTransport instead of an in-process LiveTransport. A
-// cluster is one TcpNode per machine/process plus the topology file; the
-// in-process variant for tests and benches is src/tcp/tcp_cluster.h.
+// a real OS thread in the WorkerHost LiveRuntime uses too
+// (src/live/worker_host.h: private timers, private metrics, crash = thread
+// death + supervisor respawn), wired to a TcpTransport instead of an
+// in-process LiveTransport. A cluster is one TcpNode per machine/process
+// plus the topology file; the in-process variant for tests and benches is
+// src/tcp/tcp_cluster.h.
 //
 // Distributed quiescence: counters cannot be compared across machines the
 // way LiveRuntime compares them across threads (a killed node's counters
 // vanish), so the cluster settles by gossip instead. Every node folds its
-// local conditions — workers up, nothing pending, local frames handled,
-// outbound queues drained, no unacked tokens — into a NodeStatusReport and
-// streams it to node 0 (the coordinator) every status tick. The
+// local share of the quiet rule — workers up, nothing pending, no app or
+// token frame unhandled or queued outbound, no unacked token; control
+// traffic such as stability gossip never counts — into a NodeStatusReport
+// and streams it to node 0 (the coordinator) every status tick. The
 // coordinator declares quiescence when every node claims quiet on a fresh
 // report AND the cluster-wide progress signature has been stable for a
 // settle window, then broadcasts kShutdown (retried until acked) carrying
@@ -32,21 +34,16 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "src/app/workload.h"
-#include "src/durable/durable_storage.h"
 #include "src/harness/failure_plan.h"
 #include "src/harness/metrics.h"
 #include "src/harness/protocol_factory.h"
-#include "src/live/live_channel.h"
 #include "src/live/live_clock.h"
-#include "src/live/worker_timers.h"
+#include "src/live/worker_host.h"
 #include "src/runtime/process_base.h"
 #include "src/service/service_frontend.h"
 #include "src/tcp/tcp_transport.h"
@@ -54,10 +51,8 @@
 #include "src/telemetry/histogram.h"
 #include "src/telemetry/http_endpoint.h"
 #include "src/telemetry/metrics_registry.h"
-#include "src/telemetry/wiring.h"
 #include "src/trace/trace_event.h"
 #include "src/truth/causality_oracle.h"
-#include "src/util/stats.h"
 
 namespace optrec {
 
@@ -207,51 +202,6 @@ class TcpNode {
   NodeStatsBlock stats_block() const;
 
  private:
-  enum class WorkerState : int { kRunning = 0, kExitedCrash, kExitedStop };
-
-  struct Worker {
-    explicit Worker(std::uint64_t rng_seed) : rng(rng_seed) {}
-
-    ProcessId pid = 0;
-    std::unique_ptr<WorkerTimers> timers;
-    std::unique_ptr<ProcessBase> proc;
-    Metrics metrics;
-    telemetry::FixedHistogram latency_us;  // worker-private; merged post-join
-    /// Registry mirrors, owned by this worker: gauges take the private
-    /// Metrics on every sync, the atomic histogram takes each delivery
-    /// latency, so mid-run scrapes see live values without touching
-    /// worker-private state.
-    std::unique_ptr<telemetry::ProcessGauges> gauges;
-    telemetry::AtomicHistogram* latency_live = nullptr;  // registry-owned
-    /// File-backed persistence (null without a data dir). Its counters are
-    /// atomics, so the scrape path reads them directly.
-    std::unique_ptr<DurableBackend> durable;
-    /// Set when --recover restored this worker from disk; worker_main then
-    /// boots via start_recovered() and run() skips its crash-announce.
-    bool warm = false;
-    RecoveryResult recovery;
-    telemetry::AtomicHistogram* flush_latency_live = nullptr;
-    /// In-memory stable_bytes(), mirrored each sync for the scrape thread.
-    std::atomic<std::uint64_t> stable_mem{0};
-    Rng rng;
-    std::thread thread;
-    bool started = false;
-    bool joined = true;
-
-    std::atomic<bool> up{false};
-    std::atomic<std::uint64_t> pending{0};
-    std::atomic<std::uint64_t> signature{0};
-    std::atomic<WorkerState> state{WorkerState::kRunning};
-  };
-
-  void worker_main(Worker& w);
-  void sync_mirrors(Worker& w);
-  void spawn(Worker& w);
-  void drain_exited(bool respawn_crashed, SimTime wait);
-  bool all_joined() const;
-  /// Every local condition of the node's quiet claim.
-  bool local_quiet() const;
-  std::uint64_t local_signature_word() const;
   /// Coordinator: run the shutdown broadcast until every peer acked or the
   /// grace deadline passes.
   void coordinate_shutdown(std::uint8_t exit_code, SimTime grace);
@@ -270,13 +220,13 @@ class TcpNode {
   /// never collide with log-rebuilt duplicate-filter keys.
   std::atomic<std::uint64_t> inject_seq_{0};
   telemetry::Gauge* quiet_gauge_ = nullptr;
-  std::vector<std::unique_ptr<Worker>> workers_;  // local processes only
-  std::atomic<std::uint64_t> crashes_pending_{0};
+  /// Local processes only. Declared after the transport and registry its
+  /// workers use.
+  WorkerHost<TcpTransport> host_;
+  /// Disk-recovery outcome of the constructor (--recover with a data dir).
+  std::uint32_t warm_recovered_ = 0;
+  std::uint64_t recovered_delivered_ = 0;
   bool ran_ = false;
-
-  std::mutex exit_mu_;
-  std::condition_variable exit_cv_;
-  std::vector<ProcessId> exited_;
 };
 
 }  // namespace optrec

@@ -164,7 +164,7 @@ void TcpTransport::push_local(ProcessId src, ProcessId dst, FrameRef wire,
   f.token = token;
   f.sent_at = clock_.now();
   f.not_before = f.sent_at + delay;
-  frames_pushed_.fetch_add(1, std::memory_order_acq_rel);
+  if (app || token) work_pushed_.fetch_add(1, std::memory_order_acq_rel);
   channels_.at(dst)->push(std::move(f));
 }
 
@@ -488,17 +488,30 @@ void TcpTransport::send_token(ProcessId dst, const Token& token) {
 
 void TcpTransport::note_delivered_message(bool app) {
   messages_delivered_.fetch_add(1, std::memory_order_relaxed);
-  if (app) app_messages_delivered_.fetch_add(1, std::memory_order_relaxed);
-  frames_handled_.fetch_add(1, std::memory_order_acq_rel);
+  if (!app) return;  // control frames are not work
+  app_messages_delivered_.fetch_add(1, std::memory_order_relaxed);
+  work_handled_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void TcpTransport::note_delivered_token() {
   tokens_delivered_.fetch_add(1, std::memory_order_relaxed);
-  frames_handled_.fetch_add(1, std::memory_order_acq_rel);
+  work_handled_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void TcpTransport::note_retry(bool token) {
   if (!token) messages_retried_.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::uint64_t TcpTransport::work_in_flight() const {
+  // Handled before pushed, so a racing snapshot errs toward "in flight".
+  const std::uint64_t handled = work_handled_.load(std::memory_order_acquire);
+  std::uint64_t work = work_pushed_.load(std::memory_order_acquire) - handled;
+  for (const auto& p : peers_) {
+    if (p != nullptr) work += p->pending_app.load(std::memory_order_acquire);
+  }
+  work += staged_app_.load(std::memory_order_acquire);
+  work += unacked_count_.load(std::memory_order_acquire);
+  return work + relay_pending_.load(std::memory_order_acquire);
 }
 
 std::uint64_t TcpTransport::outbound_pending() const {
@@ -837,6 +850,8 @@ void TcpTransport::close_peer(Peer& p, bool was_protocol_error) {
   if (p.sendq_bytes != 0) {
     outbuf_bytes_.fetch_sub(p.sendq_bytes, std::memory_order_relaxed);
   }
+  staged_app_.fetch_sub(p.sendq_app, std::memory_order_acq_rel);
+  p.sendq_app = 0;
   p.connected = false;
   p.connecting = false;
   p.hello_received = false;
@@ -977,7 +992,7 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
           unix_now > e.sent_unix_us ? unix_now - e.sent_unix_us : 0;
       f.sent_at = now > elapsed ? now - elapsed : 0;
       f.not_before = now + e.delay_us;
-      frames_pushed_.fetch_add(1, std::memory_order_acq_rel);
+      if (e.app || e.token) work_pushed_.fetch_add(1, std::memory_order_acq_rel);
       channels_[e.dst_pid]->push(std::move(f));
       return;
     }
@@ -1176,13 +1191,19 @@ std::size_t TcpTransport::flush_peer(Peer& p) {
   OutMsg m;
   while (p.sendq_bytes < kOutbufHighWater && p.outq.try_pop(m)) {
     if (m.delta != nullptr) materialize_delta(p, m);
-    if (m.app) p.pending_app.fetch_sub(1, std::memory_order_acq_rel);
     const std::size_t sz = m.head.size() + m.payload.size();
     outbuf_bytes_.fetch_add(sz, std::memory_order_relaxed);
     frames_tx_.fetch_add(1, std::memory_order_relaxed);
     p.sendq_bytes += sz;
     p.sendq.push_back({std::move(m.head), 0});
     if (m.payload.size() != 0) p.sendq.push_back({std::move(m.payload), 0});
+    if (m.app) {
+      // Count it staged before it leaves the ring count: never a gap.
+      p.sendq.back().app_end = true;
+      ++p.sendq_app;
+      staged_app_.fetch_add(1, std::memory_order_acq_rel);
+      p.pending_app.fetch_sub(1, std::memory_order_acq_rel);
+    }
     ++staged;
   }
   while (!p.sendq.empty()) {
@@ -1216,6 +1237,10 @@ std::size_t TcpTransport::flush_peer(Peer& p) {
         const std::size_t avail = s.buf.size() - s.off;
         if (left >= avail) {
           left -= avail;
+          if (s.app_end) {
+            --p.sendq_app;
+            staged_app_.fetch_sub(1, std::memory_order_acq_rel);
+          }
           p.sendq.pop_front();
         } else {
           s.off += left;

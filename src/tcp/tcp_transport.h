@@ -53,9 +53,9 @@
 //     atomic counters.
 //   * The quiescence surface (send_status/peer_statuses/broadcast_shutdown/
 //     shutdown_received) is for the node supervisor thread.
-//   * queue_depths()/outbound_pending()/tcp_stats() read only atomics —
-//     the /metrics scrape path never contends with senders or the IO
-//     thread.
+//   * queue_depths()/work_in_flight()/outbound_pending()/tcp_stats() read
+//     only atomics — the /metrics scrape path never contends with senders
+//     or the IO thread.
 #pragma once
 
 #include <atomic>
@@ -179,7 +179,7 @@ class TcpTransport : public Transport {
   /// into the recovery runtime). Unlike send(), the source is a pseudo-pid
   /// outside the fleet (callers use pid == size()), no fault injection
   /// applies, and any thread may call it — including the IO thread itself.
-  /// The frame counts toward frames_in_flight, so quiescence accounting
+  /// The frame counts toward work_in_flight, so quiescence accounting
   /// holds. The caller stamps src/dst/send_seq/clock; the id is assigned
   /// here.
   MsgId inject_local(Message msg, SimTime delay = 0);
@@ -198,15 +198,16 @@ class TcpTransport : public Transport {
   void note_delivered_token();
   void note_retry(bool token);
 
-  /// Frames pushed into LOCAL channels but not yet handled (includes
-  /// remote-received and parked-for-down-receiver frames).
-  std::uint64_t frames_in_flight() const {
-    return frames_pushed_.load(std::memory_order_acquire) -
-           frames_handled_.load(std::memory_order_acquire);
-  }
-  /// Outbound work not yet on the wire: queued frames, staged write-buffer
-  /// bytes, unacked tokens. Zero is a necessary condition for this node's
-  /// "quiet" claim.
+  /// Application work this node still holds: app and token frames pushed
+  /// into LOCAL channels but not yet handled (remote-received and parked-
+  /// for-down-receiver frames included), app frames queued or staged for a
+  /// peer, unacked tokens and open relay tasks. Control traffic (stability
+  /// gossip, status reports, acks, shutdown) is not work and never counts.
+  /// Zero is the transport's share of this node's quiet claim.
+  std::uint64_t work_in_flight() const;
+  /// Everything outbound not yet on the wire, control traffic included:
+  /// queued frames, staged write-buffer bytes, unacked tokens, relays. The
+  /// node drains it before closing sockets so final acks get out.
   std::uint64_t outbound_pending() const;
 
   // --- quiescence protocol (node supervisor thread) -------------------
@@ -271,6 +272,7 @@ class TcpTransport : public Transport {
   struct SendSeg {
     FrameRef buf;
     std::size_t off = 0;
+    bool app_end = false;  // last segment of an app frame
   };
 
   /// One remote node. Connection state is IO-thread-only; `outq`,
@@ -290,6 +292,7 @@ class TcpTransport : public Transport {
     EnvelopeReader reader;
     std::deque<SendSeg> sendq;    // staged segments, drained by writev
     std::size_t sendq_bytes = 0;
+    std::size_t sendq_app = 0;    // app frames among them
     SimTime retry_at = 0;   // next dial attempt (initiator)
     SimTime backoff = 0;    // current backoff step
     std::uint64_t peer_epoch = 0;
@@ -491,8 +494,11 @@ class TcpTransport : public Transport {
   std::atomic<std::uint8_t> shutdown_code_{0};
 
   std::atomic<MsgId> next_msg_id_{1};
-  std::atomic<std::uint64_t> frames_pushed_{0};
-  std::atomic<std::uint64_t> frames_handled_{0};
+  /// App and token frames pushed into / handled from local channels.
+  std::atomic<std::uint64_t> work_pushed_{0};
+  std::atomic<std::uint64_t> work_handled_{0};
+  /// App frames staged in connection sendqs (IO thread updates).
+  std::atomic<std::uint64_t> staged_app_{0};
 
   // Network::Stats counters.
   std::atomic<std::uint64_t> messages_sent_{0};

@@ -77,48 +77,13 @@
 #include "src/explore/durability_case.h"
 #include "src/explore/explorer.h"
 #include "src/harness/scenario_json.h"
+#include "src/tools/cli.h"
 #include "src/util/json.h"
 
 using namespace optrec;
+using namespace optrec::cli;
 
 namespace {
-
-bool parse_flag(const char* arg, const char* name, std::string* value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    *value = "";
-    return true;
-  }
-  if (arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-[[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "optrec_explore: %s\n", message.c_str());
-  std::exit(2);
-}
-
-std::uint64_t parse_u64(const std::string& value, const char* flag) {
-  char* end = nullptr;
-  const std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    die(std::string("bad value for ") + flag + ": '" + value + "'");
-  }
-  return parsed;
-}
-
-WorkloadKind parse_workload(const std::string& name) {
-  if (name == "counter") return WorkloadKind::kCounter;
-  if (name == "pingpong") return WorkloadKind::kPingPong;
-  if (name == "bank") return WorkloadKind::kBank;
-  if (name == "gossip") return WorkloadKind::kGossip;
-  if (name == "service") return WorkloadKind::kService;
-  die("unknown workload '" + name + "'");
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -261,6 +226,7 @@ int run_durability_mode(const DurabilitySweepOptions& dur,
 }  // namespace
 
 int main(int argc, char** argv) {
+  tool_name = "optrec_explore";
   SweepOptions options;
   options.gen.base.n = 4;
   options.gen.base.workload.intensity = 6;
@@ -283,11 +249,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (parse_flag(arg, "--protocol", &value)) {
-      try {
-        options.gen.base.protocol = protocol_from_name(value);
-      } catch (const std::exception& e) {
-        die(e.what());
-      }
+      options.gen.base.protocol = parse_protocol(value);
     } else if (parse_flag(arg, "--workload", &value)) {
       options.gen.base.workload.kind = parse_workload(value);
     } else if (parse_flag(arg, "--n", &value)) {
@@ -299,7 +261,7 @@ int main(int argc, char** argv) {
     } else if (parse_flag(arg, "--jobs", &value)) {
       options.jobs = parse_u64(value, "--jobs");
     } else if (parse_flag(arg, "--time-budget", &value)) {
-      options.time_budget_seconds = std::strtod(value.c_str(), nullptr);
+      options.time_budget_seconds = parse_double(value, "--time-budget");
     } else if (parse_flag(arg, "--max-crashes", &value)) {
       options.gen.max_crashes = parse_u64(value, "--max-crashes");
     } else if (parse_flag(arg, "--max-partitions", &value)) {
@@ -330,9 +292,9 @@ int main(int argc, char** argv) {
       dur.ops = static_cast<std::uint32_t>(parse_u64(value, "--ops"));
       if (dur.ops < 4) die("--ops must be >= 4");
     } else if (parse_flag(arg, "--garble", &value)) {
-      dur.garble_prob = std::strtod(value.c_str(), nullptr);
+      dur.garble_prob = parse_double(value, "--garble");
     } else if (parse_flag(arg, "--corrupt-prob", &value)) {
-      dur.corrupt_prob = std::strtod(value.c_str(), nullptr);
+      dur.corrupt_prob = parse_double(value, "--corrupt-prob");
     } else if (parse_flag(arg, "--expect-violation", &value)) {
       expect_violation = true;
     } else if (parse_flag(arg, "--repro", &value)) {

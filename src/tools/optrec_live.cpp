@@ -56,59 +56,16 @@
 #include "src/harness/failure_plan.h"
 #include "src/live/live_runtime.h"
 #include "src/telemetry/recovery_timeline.h"
+#include "src/tools/cli.h"
 #include "src/trace/trace_auditor.h"
 #include "src/trace/trace_sink.h"
 #include "src/util/json.h"
 #include "src/util/log.h"
 
 using namespace optrec;
+using namespace optrec::cli;
 
 namespace {
-
-bool parse_flag(const char* arg, const char* name, std::string* value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    *value = "";
-    return true;
-  }
-  if (arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-[[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "optrec_live: %s\n", message.c_str());
-  std::exit(2);
-}
-
-ProtocolKind parse_protocol(const std::string& name) {
-  try {
-    return protocol_from_name(name);
-  } catch (const std::invalid_argument&) {
-    die("unknown protocol '" + name + "'");
-  }
-}
-
-WorkloadKind parse_workload(const std::string& name) {
-  if (name == "counter") return WorkloadKind::kCounter;
-  if (name == "pingpong") return WorkloadKind::kPingPong;
-  if (name == "bank") return WorkloadKind::kBank;
-  if (name == "gossip") return WorkloadKind::kGossip;
-  if (name == "service") return WorkloadKind::kService;
-  die("unknown workload '" + name + "'");
-}
-
-std::uint64_t parse_u64(const std::string& value, const char* flag) {
-  char* end = nullptr;
-  const std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    die(std::string("bad value for ") + flag + ": '" + value + "'");
-  }
-  return parsed;
-}
 
 std::string result_json(const LiveConfig& config, const LiveResult& result,
                         std::size_t crashes_planned,
@@ -203,6 +160,7 @@ std::string result_json(const LiveConfig& config, const LiveResult& result,
 }  // namespace
 
 int main(int argc, char** argv) {
+  tool_name = "optrec_live";
   LiveConfig config;
   config.n = 4;
   config.seed = 1;
@@ -243,9 +201,9 @@ int main(int argc, char** argv) {
     } else if (parse_flag(arg, "--crashes", &value)) {
       crashes = parse_u64(value, "--crashes");
     } else if (parse_flag(arg, "--drop", &value)) {
-      config.faults.drop_prob = std::strtod(value.c_str(), nullptr);
+      config.faults.drop_prob = parse_double(value, "--drop");
     } else if (parse_flag(arg, "--dup", &value)) {
-      config.faults.duplicate_prob = std::strtod(value.c_str(), nullptr);
+      config.faults.duplicate_prob = parse_double(value, "--dup");
     } else if (parse_flag(arg, "--partition", &value)) {
       try {
         config.faults.partitions.push_back(parse_partition_spec(value));

@@ -74,41 +74,15 @@
 #include "src/service/service_msg.h"
 #include "src/tcp/topology.h"
 #include "src/telemetry/histogram.h"
+#include "src/tools/cli.h"
 #include "src/util/json.h"
 #include "src/util/rng.h"
 
 using namespace optrec;
+using namespace optrec::cli;
 using namespace optrec::service;
 
 namespace {
-
-bool parse_flag(const char* arg, const char* name, std::string* value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    *value = "";
-    return true;
-  }
-  if (arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-[[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "optrec_loadgen: %s\n", message.c_str());
-  std::exit(2);
-}
-
-std::uint64_t parse_u64(const std::string& value, const char* flag) {
-  char* end = nullptr;
-  const std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    die(std::string("bad value for ") + flag + ": '" + value + "'");
-  }
-  return parsed;
-}
 
 struct Config {
   std::string topology_file;
@@ -516,6 +490,7 @@ AuditResult run_audit(const Config& config, const TcpTopology& topo,
 }  // namespace
 
 int main(int argc, char** argv) {
+  tool_name = "optrec_loadgen";
   Config config;
   std::string value;
   for (int i = 1; i < argc; ++i) {

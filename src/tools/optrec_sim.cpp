@@ -51,67 +51,16 @@
 #include <string>
 
 #include "src/harness/experiment.h"
+#include "src/tools/cli.h"
 #include "src/trace/trace_auditor.h"
 #include "src/trace/trace_sink.h"
 #include "src/util/log.h"
 
 using namespace optrec;
-
-namespace {
-
-bool parse_flag(const char* arg, const char* name, std::string* value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    *value = "";
-    return true;
-  }
-  if (arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-[[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "optrec_sim: %s\n", message.c_str());
-  std::exit(2);
-}
-
-ProtocolKind parse_protocol(const std::string& name) {
-  if (name == "damani-garg" || name == "dg") return ProtocolKind::kDamaniGarg;
-  if (name == "pessimistic") return ProtocolKind::kPessimistic;
-  if (name == "coordinated") return ProtocolKind::kCoordinated;
-  if (name == "sender-based") return ProtocolKind::kSenderBased;
-  if (name == "cascading") return ProtocolKind::kCascading;
-  if (name == "peterson-kearns" || name == "pk") {
-    return ProtocolKind::kPetersonKearns;
-  }
-  if (name == "none" || name == "plain") return ProtocolKind::kPlain;
-  die("unknown protocol '" + name + "'");
-}
-
-WorkloadKind parse_workload(const std::string& name) {
-  if (name == "counter") return WorkloadKind::kCounter;
-  if (name == "pingpong") return WorkloadKind::kPingPong;
-  if (name == "bank") return WorkloadKind::kBank;
-  if (name == "gossip") return WorkloadKind::kGossip;
-  if (name == "service") return WorkloadKind::kService;
-  die("unknown workload '" + name + "'");
-}
-
-std::uint64_t parse_u64(const std::string& value, const char* flag) {
-  char* end = nullptr;
-  const std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    die(std::string("bad value for ") + flag + ": '" + value + "'");
-  }
-  return parsed;
-}
-
-}  // namespace
+using namespace optrec::cli;
 
 int main(int argc, char** argv) {
+  tool_name = "optrec_sim";
   ScenarioConfig config;
   config.n = 4;
   config.seed = 1;
@@ -154,7 +103,7 @@ int main(int argc, char** argv) {
     } else if (parse_flag(arg, "--concurrent", &value)) {
       concurrent = true;
     } else if (parse_flag(arg, "--drop", &value)) {
-      config.network.drop_prob = std::strtod(value.c_str(), nullptr);
+      config.network.drop_prob = parse_double(value, "--drop");
     } else if (parse_flag(arg, "--fifo", &value)) {
       config.network.fifo = true;
     } else if (parse_flag(arg, "--flush-ms", &value)) {

@@ -26,35 +26,15 @@
 
 #include "src/telemetry/recovery_timeline.h"
 #include "src/telemetry/trace_merge.h"
+#include "src/tools/cli.h"
 #include "src/trace/trace_sink.h"
 #include "src/util/json.h"
 
 using namespace optrec;
-
-namespace {
-
-bool parse_flag(const char* arg, const char* name, std::string* value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    *value = "";
-    return true;
-  }
-  if (arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-[[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "optrec_trace_merge: %s\n", message.c_str());
-  std::exit(2);
-}
-
-}  // namespace
+using namespace optrec::cli;
 
 int main(int argc, char** argv) {
+  tool_name = "optrec_trace_merge";
   std::vector<std::string> inputs;
   std::string out_jsonl, out_chrome, out_timeline;
   bool strict = false;

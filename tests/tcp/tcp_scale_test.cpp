@@ -189,5 +189,29 @@ TEST(TcpScale, TunedGcReclaimsStorageOnTheTcpPath) {
   EXPECT_GT(result.metrics.gc_log_entries_reclaimed, 0u);
 }
 
+TEST(TcpScale, FastStabilityGossipStillSettles) {
+  // Regression: stability gossip (kControl frames every few ms) is protocol
+  // background, not application work. When a node counted it as "frames in
+  // flight", the coordinator's settle window kept resetting and this run
+  // hit its cap with exit 4 long after the last app delivery.
+  TcpClusterConfig config = base_config();
+  config.workload.depth = 96;
+  config.process.enable_stability_tracking = true;
+  config.process.enable_gc = true;
+  config.process.gc.level = scale::GcLevel::kAggressive;
+  config.process.gc.keep_checkpoints = 2;
+  config.process.stability_gossip_interval = millis(2);
+  config.crashes.push_back({millis(40), 3});
+  config.enable_oracle = true;
+  config.time_cap = seconds(10);
+
+  TcpCluster cluster(config);
+  const TcpClusterResult result = cluster.run();
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_TRUE(result.quiesced);
+  EXPECT_TRUE(cluster.oracle()->check_consistency().empty());
+  EXPECT_LT(result.wall_time, seconds(5));
+}
+
 }  // namespace
 }  // namespace optrec

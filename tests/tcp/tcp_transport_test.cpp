@@ -78,7 +78,7 @@ TEST(TcpTransport, DeliversAppMessagesAcrossNodes) {
     EXPECT_EQ(decoded.message.payload[1], 0x5a);
     pair.b->note_delivered_message(true);
   }
-  EXPECT_EQ(pair.b->frames_in_flight(), 0u);
+  EXPECT_EQ(pair.b->work_in_flight(), 0u);
   EXPECT_EQ(pair.a->tcp_stats().protocol_errors, 0u);
   // Both sides: exactly one established connection for the pair.
   EXPECT_EQ(pair.a->tcp_stats().connects, 1u);
@@ -120,7 +120,7 @@ TEST(TcpTransport, RetriedTokensDedupeToSingleDelivery) {
   EXPECT_GE(pair.a->tcp_stats().token_retries, 1u);
   EXPECT_EQ(pair.b->tcp_stats().dup_tokens_dropped,
             pair.b->tcp_stats().frames_rx - 2);  // hello + first copy
-  EXPECT_EQ(pair.b->frames_in_flight(), 0u);
+  EXPECT_EQ(pair.b->work_in_flight(), 0u);
 }
 
 TEST(TcpTransport, InitiatorBacksOffAndReconnects) {
