@@ -63,9 +63,8 @@ Row run_one(ProtocolKind protocol, std::size_t n, std::uint64_t seed,
   config.enable_oracle = false;
   config.time_cap = millis(20000);
   if (crashes > 0) {
-    Rng rng(seed * 977 + 3);
     config.crashes =
-        FailurePlan::random(rng, n, crashes, millis(20), millis(120)).crashes;
+        FailurePlan::seeded(seed, n, crashes, 0, millis(120)).crashes;
   }
 
   LiveRuntime runtime(config);

@@ -78,9 +78,8 @@ Row run_one(ProtocolKind protocol, std::size_t n, std::size_t nodes,
   config.enable_oracle = false;
   config.time_cap = millis(30000);
   if (crashes > 0) {
-    Rng rng(seed * 977 + 3);
     config.crashes =
-        FailurePlan::random(rng, n, crashes, millis(20), millis(120)).crashes;
+        FailurePlan::seeded(seed, n, crashes, 0, millis(120)).crashes;
   }
 
   TcpCluster cluster(config);

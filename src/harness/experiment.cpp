@@ -43,26 +43,8 @@ void write_running_stats(JsonWriter& w, const RunningStats& s) {
 }
 }  // namespace
 
-std::string result_json(const ScenarioConfig& config,
-                        const ExperimentResult& result) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  const Metrics& m = result.metrics;
-  const Network::Stats& n = result.net;
-
+void write_metrics_json(JsonWriter& w, const Metrics& m) {
   w.begin_object();
-  w.key("config").begin_object();
-  w.kv("protocol", protocol_name(config.protocol));
-  w.kv("n", std::uint64_t{config.n});
-  w.kv("seed", config.seed);
-  w.kv("crashes_planned", std::uint64_t{config.failures.crashes.size()});
-  w.end_object();
-
-  w.kv("quiesced", result.quiesced);
-  w.kv("end_time_us", result.end_time);
-  w.kv("delivered_per_sim_second", result.delivered_per_sim_second());
-
-  w.key("metrics").begin_object();
   w.kv("app_messages_sent", m.app_messages_sent);
   w.kv("control_messages_sent", m.control_messages_sent);
   w.kv("messages_delivered", m.messages_delivered);
@@ -114,6 +96,28 @@ std::string result_json(const ScenarioConfig& config,
   }
   w.end_array();
   w.end_object();
+}
+
+std::string result_json(const ScenarioConfig& config,
+                        const ExperimentResult& result) {
+  std::ostringstream os;
+  JsonWriter w(os);
+  const Network::Stats& n = result.net;
+
+  w.begin_object();
+  w.key("config").begin_object();
+  w.kv("protocol", protocol_name(config.protocol));
+  w.kv("n", std::uint64_t{config.n});
+  w.kv("seed", config.seed);
+  w.kv("crashes_planned", std::uint64_t{config.failures.crashes.size()});
+  w.end_object();
+
+  w.kv("quiesced", result.quiesced);
+  w.kv("end_time_us", result.end_time);
+  w.kv("delivered_per_sim_second", result.delivered_per_sim_second());
+
+  w.key("metrics");
+  write_metrics_json(w, result.metrics);
 
   w.key("network").begin_object();
   w.kv("messages_sent", n.messages_sent);

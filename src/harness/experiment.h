@@ -9,6 +9,8 @@
 
 namespace optrec {
 
+class JsonWriter;
+
 struct ExperimentResult {
   bool quiesced = false;
   SimTime end_time = 0;
@@ -27,6 +29,10 @@ struct ExperimentResult {
 };
 
 ExperimentResult run_experiment(const ScenarioConfig& config);
+
+/// Write every Metrics field as one JSON object: the "metrics" block that
+/// optrec_sim, optrec_live and optrec_node print with --metrics-json.
+void write_metrics_json(JsonWriter& w, const Metrics& m);
 
 /// Serialize the full run outcome — Metrics (including RunningStats), network
 /// stats, quiescence, oracle verdict — as one JSON object (newline-terminated

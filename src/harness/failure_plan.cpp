@@ -98,4 +98,22 @@ PartitionEvent parse_partition_spec(const std::string& spec) {
   return event;
 }
 
+FailurePlan FailurePlan::seeded(std::uint64_t seed, std::size_t n,
+                                std::size_t apart, std::size_t simultaneous,
+                                SimTime window_end) {
+  Rng rng(seed * 977 + 3);
+  FailurePlan plan =
+      random(rng, n, simultaneous, millis(20), window_end, /*concurrent=*/true);
+  const FailurePlan rest = random(rng, n, apart, millis(20), window_end);
+  if (plan.crashes.empty()) return rest;
+  if (rest.crashes.empty()) return plan;
+  plan.crashes.insert(plan.crashes.end(), rest.crashes.begin(),
+                      rest.crashes.end());
+  std::sort(plan.crashes.begin(), plan.crashes.end(),
+            [](const CrashEvent& a, const CrashEvent& b) {
+              return a.at < b.at;
+            });
+  return plan;
+}
+
 }  // namespace optrec

@@ -39,6 +39,14 @@ struct FailurePlan {
   static FailurePlan random(Rng& rng, std::size_t n, std::size_t count,
                             SimTime window_start, SimTime window_end,
                             bool concurrent = false);
+
+  /// The seeded crash plan of the runners, benches and tests: from
+  /// Rng(seed * 977 + 3), first `simultaneous` crashes at one shared
+  /// instant, then `apart` crashes at independent instants, all within
+  /// [20 ms, window_end], sorted by time.
+  static FailurePlan seeded(std::uint64_t seed, std::size_t n,
+                            std::size_t apart, std::size_t simultaneous = 0,
+                            SimTime window_end = millis(200));
 };
 
 /// Parse the CLI partition syntax shared by every runner (optrec_sim's

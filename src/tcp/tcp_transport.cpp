@@ -1029,7 +1029,7 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
       process_token_relay(p, e);
       return;
     case EnvelopeKind::kRelayAck:
-      process_relay_ack(p, e);
+      process_relay_ack(e);
       return;
     case EnvelopeKind::kHello:
       return;  // handled above; unreachable
@@ -1140,7 +1140,7 @@ void TcpTransport::process_token_relay(Peer& p, Envelope& e) {
   }
 }
 
-void TcpTransport::process_relay_ack(Peer& p, const Envelope& e) {
+void TcpTransport::process_relay_ack(const Envelope& e) {
   acks_rx_.fetch_add(1, std::memory_order_relaxed);
   if (e.epoch != epoch_) return;  // receipt for a previous incarnation
   bool ack_up = false;
@@ -1365,7 +1365,7 @@ void TcpTransport::retry_unacked_tokens() {
     // the original still sits in the ring.
     if (!p.connected || p.blocked) continue;
     token_retries_.fetch_add(1, std::memory_order_relaxed);
-    p.outq.push(OutMsg{pending.msg.head, pending.msg.payload, false});
+    p.outq.push(OutMsg{pending.msg.head, pending.msg.payload, false, nullptr, 0});
   }
   // Relay retries ride the same cadence. After relay_fallback_retries
   // silent attempts we assume the head is down and route around it: its
@@ -1398,7 +1398,7 @@ void TcpTransport::retry_unacked_tokens() {
     Peer& rp = *peers_.at(task.dst_node);
     if (!rp.connected || rp.blocked) continue;
     token_retries_.fetch_add(1, std::memory_order_relaxed);
-    rp.outq.push(OutMsg{task.msg.head, task.msg.payload, false});
+    rp.outq.push(OutMsg{task.msg.head, task.msg.payload, false, nullptr, 0});
   }
 }
 

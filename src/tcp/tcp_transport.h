@@ -416,7 +416,7 @@ class TcpTransport : public Transport {
   void start_relay_locked(const scale::RelayAssignment& chunk,
                           const Envelope& tmpl, std::uint64_t agg_id);
   void process_token_relay(Peer& p, Envelope& e);
-  void process_relay_ack(Peer& p, const Envelope& e);
+  void process_relay_ack(const Envelope& e);
   /// Stage an OutMsg whose delta field is set: encode the message against
   /// the connection codec and build the head/payload refs in place.
   void materialize_delta(Peer& p, OutMsg& m);

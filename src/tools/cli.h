@@ -39,6 +39,12 @@ inline bool parse_flag(const char* arg, const char* name, std::string* value) {
   return false;
 }
 
+/// True when `arg` is flag `name` in either form.
+inline bool is_flag(const char* arg, const char* name) {
+  std::string value;
+  return parse_flag(arg, name, &value);
+}
+
 inline std::uint64_t parse_u64(const std::string& value, const char* flag) {
   char* end = nullptr;
   const std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);

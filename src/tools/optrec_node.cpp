@@ -26,15 +26,10 @@
 //                (the respawned child runs --recover=warm: it rebuilds from
 //                DIR/node-1 and announces its failure at the restored point)
 //
-// Flags shared with optrec_live (same spelling, same defaults):
-//   --protocol=NAME --workload=NAME --n=K|--processes=K --seed=S
-//   --intensity=K --depth=K --crashes=K --drop=P --dup=P
-//   --partition=AT_MS:HEAL_MS:G0/G1 (groups are NODE ids here)
-//   --min-delay-us=K --max-delay-us=K --flush-ms=K --ckpt-ms=K
-//   --retransmit --stability --gc --time-cap-ms=K --verbose --oracle
-//   --trace=FILE --trace-format=jsonl|chrome|dot --audit
-//   --metrics-json[=FILE]  (FILE form writes the JSON there instead of
-//                      stdout; --spawn derives FILE.nodeK per child)
+// Takes the shared runner flags and the wall-clock flags (README.md,
+// "Runner flags") with the wall-clock defaults --flush-ms=10 --ckpt-ms=50;
+// --partition groups name NODE ids here. --metrics-json=FILE under --spawn
+// derives FILE.nodeK per child. Its own flags follow.
 //
 // Telemetry flags (docs/OBSERVABILITY.md):
 //   --telemetry        serve /metrics, /metrics.json, /cluster, /healthz
@@ -116,9 +111,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <iostream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -128,15 +121,11 @@
 
 #include <unistd.h>
 
-#include "src/harness/failure_plan.h"
 #include "src/tcp/tcp_cluster.h"
 #include "src/telemetry/http_endpoint.h"
 #include "src/telemetry/recovery_timeline.h"
-#include "src/tools/cli.h"
-#include "src/trace/trace_auditor.h"
-#include "src/trace/trace_sink.h"
+#include "src/tools/runner.h"
 #include "src/util/json.h"
-#include "src/util/log.h"
 
 using namespace optrec;
 using namespace optrec::cli;
@@ -169,113 +158,41 @@ KillSpec parse_kill_spec(const std::string& value) {
   return spec;
 }
 
-std::string result_json(const TcpClusterConfig& config, const char* mode,
-                        std::uint32_t node, int exit_code, bool quiesced,
-                        SimTime wall_time, const Metrics& m,
-                        const Network::Stats& n,
-                        const TcpTransport::TcpStats& t,
-                        const telemetry::FixedHistogram& latency,
-                        std::size_t oracle_violations, bool audited,
-                        std::size_t audit_violations,
-                        const telemetry::RecoveryTimelineReport* timeline,
-                        const TcpNodeResult::DurableSummary* durable,
-                        const TcpNodeResult::ServiceSummary* service) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  const double wall_s = static_cast<double>(wall_time) / 1e6;
-
-  w.begin_object();
-  w.key("config").begin_object();
-  w.kv("backend", "tcp");
-  w.kv("mode", mode);
-  if (std::strcmp(mode, "node") == 0) w.kv("node", node);
-  w.kv("protocol", protocol_name(config.protocol));
-  w.kv("workload", config.workload.name());
-  w.kv("n", std::uint64_t{config.n});
-  w.kv("tcp_nodes", std::uint64_t{config.nodes});
-  w.kv("seed", config.seed);
-  w.kv("crashes_planned", std::uint64_t{config.crashes.size()});
-  w.end_object();
-
-  w.kv("exit_code", std::uint64_t(exit_code));
-  w.kv("quiesced", quiesced);
-  w.kv("wall_time_us", wall_time);
-  w.kv("delivered_per_second",
-       wall_s > 0 ? static_cast<double>(m.messages_delivered) / wall_s : 0.0);
-  w.key("delivery_latency_us").begin_object();
-  w.kv("count", std::uint64_t{latency.count()});
-  w.kv("p50", latency.percentile(0.50));
-  w.kv("p90", latency.percentile(0.90));
-  w.kv("p99", latency.percentile(0.99));
-  w.end_object();
-
-  if (timeline != nullptr) {
-    w.key("recovery_timeline").begin_object();
-    telemetry::write_recovery_timeline_fields(w, *timeline);
-    w.end_object();
-  }
-
-  if (durable != nullptr && durable->enabled) {
+/// The TCP backend's own --metrics-json blocks.
+void write_tcp_blocks(JsonWriter& w, const TcpTransport::TcpStats& t,
+                      const TcpNodeResult::DurableSummary& durable,
+                      const TcpNodeResult::ServiceSummary& service) {
+  if (durable.enabled) {
     w.key("durable").begin_object();
-    w.kv("warm_recovered", std::uint64_t{durable->warm_recovered});
-    w.kv("recovered_delivered", durable->recovered_delivered);
-    w.kv("replayed_msgs", durable->replayed_messages);
-    w.kv("replayed_tokens", durable->replayed_tokens);
-    w.kv("recovered_checkpoints", durable->recovered_checkpoints);
-    w.kv("torn_bytes", durable->torn_bytes);
-    w.kv("fsyncs", durable->fsyncs);
-    w.kv("wal_bytes_written", durable->wal_bytes_written);
-    w.kv("disk_stable_bytes", durable->disk_stable_bytes);
-    w.kv("memory_stable_bytes", durable->memory_stable_bytes);
-    w.kv("snapshot_writes", durable->snapshot_writes);
-    w.kv("manifest_writes", durable->manifest_writes);
-    w.kv("compactions", durable->compactions);
-    w.kv("recovery_us", durable->recovery_us);
+    w.kv("warm_recovered", std::uint64_t{durable.warm_recovered});
+    w.kv("recovered_delivered", durable.recovered_delivered);
+    w.kv("replayed_msgs", durable.replayed_messages);
+    w.kv("replayed_tokens", durable.replayed_tokens);
+    w.kv("recovered_checkpoints", durable.recovered_checkpoints);
+    w.kv("torn_bytes", durable.torn_bytes);
+    w.kv("fsyncs", durable.fsyncs);
+    w.kv("wal_bytes_written", durable.wal_bytes_written);
+    w.kv("disk_stable_bytes", durable.disk_stable_bytes);
+    w.kv("memory_stable_bytes", durable.memory_stable_bytes);
+    w.kv("snapshot_writes", durable.snapshot_writes);
+    w.kv("manifest_writes", durable.manifest_writes);
+    w.kv("compactions", durable.compactions);
+    w.kv("recovery_us", durable.recovery_us);
     w.end_object();
   }
-
-  if (service != nullptr && service->enabled) {
+  if (service.enabled) {
     w.key("service").begin_object();
-    w.kv("connections", service->connections);
-    w.kv("requests", service->requests);
-    w.kv("injected", service->injected);
-    w.kv("replies_sent", service->replies_sent);
-    w.kv("replies_dropped", service->replies_dropped);
-    w.kv("wrong_node", service->wrong_node);
-    w.kv("protocol_errors", service->protocol_errors);
-    w.kv("replies_gated", service->replies_gated);
-    w.kv("replies_released", service->replies_released);
+    w.kv("connections", service.connections);
+    w.kv("requests", service.requests);
+    w.kv("injected", service.injected);
+    w.kv("replies_sent", service.replies_sent);
+    w.kv("replies_dropped", service.replies_dropped);
+    w.kv("wrong_node", service.wrong_node);
+    w.kv("protocol_errors", service.protocol_errors);
+    w.kv("replies_gated", service.replies_gated);
+    w.kv("replies_released", service.replies_released);
     w.end_object();
   }
-
-  w.key("metrics").begin_object();
-  w.kv("app_messages_sent", m.app_messages_sent);
-  w.kv("messages_delivered", m.messages_delivered);
-  w.kv("messages_discarded_obsolete", m.messages_discarded_obsolete);
-  w.kv("messages_discarded_duplicate", m.messages_discarded_duplicate);
-  w.kv("piggyback_bytes", m.piggyback_bytes);
-  w.kv("piggyback_per_message", m.piggyback_per_message());
-  w.kv("crashes", m.crashes);
-  w.kv("restarts", m.restarts);
-  w.kv("rollbacks", m.rollbacks);
-  w.kv("max_rollbacks_per_process_per_failure",
-       m.max_rollbacks_per_process_per_failure());
-  w.kv("tokens_processed", m.tokens_processed);
-  w.kv("messages_replayed", m.messages_replayed);
-  w.kv("retransmissions", m.retransmissions);
-  w.end_object();
-
-  w.key("net").begin_object();
-  w.kv("messages_sent", n.messages_sent);
-  w.kv("messages_delivered", n.messages_delivered);
-  w.kv("messages_dropped", n.messages_dropped);
-  w.kv("messages_retried", n.messages_retried);
-  w.kv("tokens_sent", n.tokens_sent);
-  w.kv("tokens_delivered", n.tokens_delivered);
-  w.kv("message_bytes", n.message_bytes);
-  w.kv("token_bytes", n.token_bytes);
-  w.end_object();
-
   w.key("tcp").begin_object();
   w.kv("connects", t.connects);
   w.kv("accepts", t.accepts);
@@ -296,40 +213,12 @@ std::string result_json(const TcpClusterConfig& config, const char* mode,
   w.kv("relays_tx", t.relays_tx);
   w.kv("relay_splits", t.relay_splits);
   w.end_object();
-
-  w.kv("oracle_violations", std::uint64_t{oracle_violations});
-  if (audited) w.kv("audit_violations", std::uint64_t{audit_violations});
-  w.end_object();
-  os << "\n";
-  return os.str();
 }
 
-void print_summary(const char* head, bool quiesced, SimTime wall_time,
-                   const Metrics& m, const Network::Stats& n,
-                   const TcpTransport::TcpStats& t,
-                   const telemetry::FixedHistogram& latency,
-                   const TcpNodeResult::DurableSummary* durable = nullptr) {
-  const double wall_s = static_cast<double>(wall_time) / 1e6;
-  std::printf("%s quiesced=%s (t = %.2f ms wall)\n", head,
-              quiesced ? "yes" : "NO", wall_time / 1000.0);
-  std::printf("throughput %.0f delivered/s (%llu delivered in %.2f s)\n",
-              wall_s > 0 ? m.messages_delivered / wall_s : 0.0,
-              (unsigned long long)m.messages_delivered, wall_s);
-  std::printf("latency    p50=%.0f us p90=%.0f us p99=%.0f us (n=%llu)\n",
-              latency.percentile(0.50), latency.percentile(0.90),
-              latency.percentile(0.99),
-              (unsigned long long)latency.count());
-  std::printf("recovery   crashes=%llu restarts=%llu rollbacks=%llu "
-              "(max %llu/proc/failure)\n",
-              (unsigned long long)m.crashes, (unsigned long long)m.restarts,
-              (unsigned long long)m.rollbacks,
-              (unsigned long long)m.max_rollbacks_per_process_per_failure());
-  std::printf("wire       piggyback=%.1f B/msg msg-bytes=%llu "
-              "token-bytes=%llu retried=%llu\n",
-              m.piggyback_per_message(),
-              (unsigned long long)n.message_bytes,
-              (unsigned long long)n.token_bytes,
-              (unsigned long long)n.messages_retried);
+/// The TCP backend's own summary lines, after the shared ones.
+void print_tcp_summary(const TcpTransport::TcpStats& t,
+                       const TcpNodeResult::DurableSummary& durable,
+                       const TcpNodeResult::ServiceSummary& s) {
   std::printf("sockets    connects=%llu accepts=%llu disconnects=%llu "
               "frames tx/rx=%llu/%llu token-retries=%llu dup-dropped=%llu\n",
               (unsigned long long)t.connects, (unsigned long long)t.accepts,
@@ -337,72 +226,41 @@ void print_summary(const char* head, bool quiesced, SimTime wall_time,
               (unsigned long long)t.frames_tx, (unsigned long long)t.frames_rx,
               (unsigned long long)t.token_retries,
               (unsigned long long)t.dup_tokens_dropped);
-  if (durable != nullptr && durable->enabled) {
+  if (durable.enabled) {
     std::printf("durable    warm=%u recovered-delivered=%llu replayed=%llu "
                 "fsyncs=%llu wal-bytes=%llu disk-bytes=%llu torn=%llu\n",
-                durable->warm_recovered,
-                (unsigned long long)durable->recovered_delivered,
-                (unsigned long long)durable->replayed_messages,
-                (unsigned long long)durable->fsyncs,
-                (unsigned long long)durable->wal_bytes_written,
-                (unsigned long long)durable->disk_stable_bytes,
-                (unsigned long long)durable->torn_bytes);
+                durable.warm_recovered,
+                (unsigned long long)durable.recovered_delivered,
+                (unsigned long long)durable.replayed_messages,
+                (unsigned long long)durable.fsyncs,
+                (unsigned long long)durable.wal_bytes_written,
+                (unsigned long long)durable.disk_stable_bytes,
+                (unsigned long long)durable.torn_bytes);
+  }
+  if (s.enabled) {
+    std::printf("service    conns=%llu requests=%llu injected=%llu "
+                "gated=%llu released=%llu sent=%llu dropped=%llu "
+                "wrong-node=%llu proto-errors=%llu\n",
+                (unsigned long long)s.connections,
+                (unsigned long long)s.requests,
+                (unsigned long long)s.injected,
+                (unsigned long long)s.replies_gated,
+                (unsigned long long)s.replies_released,
+                (unsigned long long)s.replies_sent,
+                (unsigned long long)s.replies_dropped,
+                (unsigned long long)s.wrong_node,
+                (unsigned long long)s.protocol_errors);
   }
 }
 
-void print_service_summary(const TcpNodeResult::ServiceSummary& s) {
-  if (!s.enabled) return;
-  std::printf("service    conns=%llu requests=%llu injected=%llu "
-              "gated=%llu released=%llu sent=%llu dropped=%llu "
-              "wrong-node=%llu proto-errors=%llu\n",
-              (unsigned long long)s.connections,
-              (unsigned long long)s.requests,
-              (unsigned long long)s.injected,
-              (unsigned long long)s.replies_gated,
-              (unsigned long long)s.replies_released,
-              (unsigned long long)s.replies_sent,
-              (unsigned long long)s.replies_dropped,
-              (unsigned long long)s.wrong_node,
-              (unsigned long long)s.protocol_errors);
-}
-
-void write_trace(const std::string& trace_file, const std::string& format,
-                 const std::vector<TraceEvent>& events) {
-  std::ofstream file_out;
-  if (trace_file != "-") {
-    file_out.open(trace_file, std::ios::binary);
-    if (!file_out) die("cannot open trace file '" + trace_file + "'");
-  }
-  std::ostream& out = trace_file == "-" ? std::cout : file_out;
-  if (format == "jsonl") {
-    write_trace_jsonl(out, events);
-  } else if (format == "chrome") {
-    write_trace_chrome(out, events);
-  } else {
-    write_trace_dot(out, events);
-  }
-  if (&out == &file_out && !file_out) {
-    die("failed writing trace file '" + trace_file + "'");
-  }
-}
-
-/// Write --metrics-json output: stdout when `file` is empty, FILE otherwise.
-void emit_metrics_json(const std::string& file, const std::string& json) {
-  if (file.empty()) {
-    std::fputs(json.c_str(), stdout);
-    return;
-  }
-  std::ofstream out(file, std::ios::binary);
-  if (!out) die("cannot open metrics file '" + file + "'");
-  out << json;
-  if (!out) die("failed writing metrics file '" + file + "'");
-}
-
+/// --timeline: the recovery-phase timeline of the run's trace, to FILE.
 void write_timeline_file(const std::string& file,
-                         const telemetry::RecoveryTimelineReport& report) {
+                         const std::vector<TraceEvent>* events) {
+  if (file.empty() || events == nullptr) return;
   std::ofstream out(file, std::ios::binary);
   if (!out) die("cannot open timeline file '" + file + "'");
-  telemetry::write_recovery_timeline_json(out, report);
+  telemetry::write_recovery_timeline_json(
+      out, telemetry::analyze_recovery_timeline(*events));
   if (!out) die("failed writing timeline file '" + file + "'");
 }
 
@@ -495,13 +353,8 @@ int run_spawn_harness(const std::vector<std::string>& base_args,
                       std::size_t tcp_nodes, std::vector<KillSpec> kills,
                       bool verbose, bool recover_cold,
                       const std::vector<std::vector<std::string>>& extra) {
-  std::vector<pid_t> child(tcp_nodes, -1);
-  for (std::uint32_t k = 0; k < tcp_nodes; ++k) {
-    child[k] = spawn_child(base_args, k, /*recover=*/false, recover_cold,
-                           extra[k]);
-  }
-
-  // Apply the kill/respawn schedule in event-time order.
+  // Apply the kill/respawn schedule in event-time order; it is checked
+  // before any child starts, so a usage error leaves no orphans behind.
   struct HarnessEvent {
     std::uint64_t at_ms = 0;
     std::uint32_t node = 0;
@@ -517,6 +370,12 @@ int run_spawn_harness(const std::vector<std::string>& base_args,
             [](const HarnessEvent& a, const HarnessEvent& b) {
               return a.at_ms < b.at_ms;
             });
+
+  std::vector<pid_t> child(tcp_nodes, -1);
+  for (std::uint32_t k = 0; k < tcp_nodes; ++k) {
+    child[k] = spawn_child(base_args, k, /*recover=*/false, recover_cold,
+                           extra[k]);
+  }
 
   const auto start = std::chrono::steady_clock::now();
   for (const HarnessEvent& event : events) {
@@ -561,22 +420,12 @@ int run_spawn_harness(const std::vector<std::string>& base_args,
 
 int main(int argc, char** argv) {
   tool_name = "optrec_node";
-  TcpClusterConfig config;
-  config.n = 4;
-  config.nodes = 2;
-  config.seed = 1;
-  config.workload.intensity = 6;
-  config.workload.depth = 48;
-  config.workload.all_seed = true;
-  config.process.flush_interval = millis(10);
-  config.process.checkpoint_interval = millis(50);
-  config.enable_oracle = false;
-  config.time_cap = millis(15000);
+  RunFlags run;
+  run.process.flush_interval = millis(10);
+  run.process.checkpoint_interval = millis(50);
+  TcpClusterConfig config;  // the TCP-only fields; the rest comes from `run`
 
-  std::size_t crashes = 0;
   std::string value;
-  std::string trace_file;
-  std::string trace_format = "jsonl";
   std::string topology_file;
   std::string node_arg = "all";
   std::uint16_t base_port = 0;
@@ -584,12 +433,7 @@ int main(int argc, char** argv) {
   bool recover_cold = false;
   std::string data_dir;
   bool spawn = false;
-  bool audit = false;
-  bool metrics_json = false;
-  std::string metrics_json_file;
-  bool verbose = false;
   bool print_topology = false;
-  bool enable_trace = false;
   bool telemetry = false;
   std::uint16_t telemetry_port = 0;
   std::uint16_t telemetry_base_port = 0;
@@ -610,55 +454,17 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     bool forward = true;
-    if (parse_flag(arg, "--protocol", &value)) {
-      config.protocol = parse_protocol(value);
-    } else if (parse_flag(arg, "--workload", &value)) {
-      config.workload.kind = parse_workload(value);
-    } else if (parse_flag(arg, "--n", &value)) {
-      config.n = parse_u64(value, "--n");
-    } else if (parse_flag(arg, "--processes", &value)) {
-      config.n = parse_u64(value, "--processes");
-    } else if (parse_flag(arg, "--seed", &value)) {
-      config.seed = parse_u64(value, "--seed");
-    } else if (parse_flag(arg, "--intensity", &value)) {
-      config.workload.intensity =
-          static_cast<std::uint32_t>(parse_u64(value, "--intensity"));
-    } else if (parse_flag(arg, "--depth", &value)) {
-      config.workload.depth =
-          static_cast<std::uint32_t>(parse_u64(value, "--depth"));
-    } else if (parse_flag(arg, "--crashes", &value)) {
-      crashes = parse_u64(value, "--crashes");
-    } else if (parse_flag(arg, "--drop", &value)) {
-      config.faults.drop_prob = parse_double(value, "--drop");
-    } else if (parse_flag(arg, "--dup", &value)) {
-      config.faults.duplicate_prob = parse_double(value, "--dup");
-    } else if (parse_flag(arg, "--partition", &value)) {
-      try {
-        config.faults.partitions.push_back(parse_partition_spec(value));
-      } catch (const std::invalid_argument& e) {
-        die(e.what());
-      }
-    } else if (parse_flag(arg, "--min-delay-us", &value)) {
-      config.faults.min_delay = micros(parse_u64(value, "--min-delay-us"));
-    } else if (parse_flag(arg, "--max-delay-us", &value)) {
-      config.faults.max_delay = micros(parse_u64(value, "--max-delay-us"));
-    } else if (parse_flag(arg, "--flush-ms", &value)) {
-      config.process.flush_interval = millis(parse_u64(value, "--flush-ms"));
-    } else if (parse_flag(arg, "--ckpt-ms", &value)) {
-      config.process.checkpoint_interval =
-          millis(parse_u64(value, "--ckpt-ms"));
-    } else if (parse_flag(arg, "--retransmit", &value)) {
-      config.process.retransmit_on_failure = true;
-    } else if (parse_flag(arg, "--stability", &value)) {
-      config.process.enable_stability_tracking = true;
-    } else if (parse_flag(arg, "--gc", &value)) {
-      config.process.enable_stability_tracking = true;
-      config.process.enable_gc = true;
+    if (parse_run_flag(arg, run, /*wall_clock=*/true)) {
+      // Checks and outputs of one address space stay with the harness:
+      // children would clobber one another's trace file, and --spawn hands
+      // each child its own FILE.nodeK for --metrics-json.
+      forward = !is_flag(arg, "--oracle") && !is_flag(arg, "--trace") &&
+                !is_flag(arg, "--audit") && !is_flag(arg, "--metrics-json");
     } else if (parse_flag(arg, "--gc-level", &value)) {
-      config.process.enable_stability_tracking = true;
-      config.process.enable_gc = true;
+      run.process.enable_stability_tracking = true;
+      run.process.enable_gc = true;
       try {
-        config.process.gc.level = scale::parse_gc_level(value);
+        run.process.gc.level = scale::parse_gc_level(value);
       } catch (const std::invalid_argument& e) {
         die(e.what());
       }
@@ -670,36 +476,10 @@ int main(int argc, char** argv) {
       if (config.scale.token_fanout == 1) {
         die("--token-fanout wants 0 (flat) or >= 2");
       }
-    } else if (parse_flag(arg, "--time-cap-ms", &value)) {
-      config.time_cap = millis(parse_u64(value, "--time-cap-ms"));
     } else if (parse_flag(arg, "--settle-ms", &value)) {
       config.settle = millis(parse_u64(value, "--settle-ms"));
     } else if (parse_flag(arg, "--status-ms", &value)) {
       config.status_interval = millis(parse_u64(value, "--status-ms"));
-    } else if (parse_flag(arg, "--verbose", &value)) {
-      set_log_level(LogLevel::kInfo);
-      verbose = true;
-    } else if (parse_flag(arg, "--oracle", &value)) {
-      config.enable_oracle = true;
-      forward = false;
-    } else if (parse_flag(arg, "--trace-format", &value)) {
-      if (value != "jsonl" && value != "chrome" && value != "dot") {
-        die("--trace-format wants jsonl | chrome | dot");
-      }
-      trace_format = value;
-    } else if (parse_flag(arg, "--trace", &value)) {
-      if (value.empty()) die("--trace wants a file name (or - for stdout)");
-      trace_file = value;
-      enable_trace = true;
-      forward = false;  // children would clobber one another's file
-    } else if (parse_flag(arg, "--audit", &value)) {
-      audit = true;
-      enable_trace = true;
-      forward = false;
-    } else if (parse_flag(arg, "--metrics-json", &value)) {
-      metrics_json = true;
-      metrics_json_file = value;
-      forward = false;  // --spawn derives a per-child FILE.nodeK instead
     } else if (parse_flag(arg, "--telemetry-port", &value)) {
       telemetry_port =
           static_cast<std::uint16_t>(parse_u64(value, "--telemetry-port"));
@@ -716,7 +496,6 @@ int main(int argc, char** argv) {
     } else if (parse_flag(arg, "--timeline", &value)) {
       if (value.empty()) die("--timeline wants a file name");
       timeline_file = value;
-      enable_trace = true;
       forward = false;
     } else if (parse_flag(arg, "--trace-dir", &value)) {
       if (value.empty()) die("--trace-dir wants a directory");
@@ -767,21 +546,15 @@ int main(int argc, char** argv) {
       write_topology_file = value;
       forward = false;
     } else {
-      die(std::string("unknown flag '") + arg + "' (see header comment)");
+      die(std::string("unknown flag '") + arg + "' (see README.md)");
     }
     if (forward) child_args.push_back(arg);
   }
 
-  if (config.faults.min_delay > config.faults.max_delay) {
-    die("--min-delay-us must be <= --max-delay-us");
-  }
-  config.enable_trace = enable_trace;
-  if (crashes > 0) {
-    Rng rng(config.seed * 977 + 3);
-    const FailurePlan plan = FailurePlan::random(rng, config.n, crashes,
-                                                 millis(20), millis(200));
-    config.crashes = plan.crashes;
-  }
+  // The crash plan is drawn over the flags' n, before a topology file can
+  // change it.
+  apply_wall_clock(run, config);
+  config.enable_trace = run.traced() || !timeline_file.empty();
 
   // Resolve the topology every mode agrees on.
   TcpTopology topo;
@@ -818,6 +591,8 @@ int main(int argc, char** argv) {
     topo.scale.token_fanout = config.scale.token_fanout;
   }
   config.scale = topo.scale;
+  run.n = config.n;
+  check_run(run, config.nodes, "node");
   if (serve && config.enable_oracle) {
     die("--serve and --oracle are incompatible (injected client requests "
         "have no oracle send records; optrec_loadgen checks consistency "
@@ -854,7 +629,7 @@ int main(int argc, char** argv) {
   // ---- --spawn: multi-process harness --------------------------------
   if (spawn) {
     if (node_arg != "all") die("--spawn and --node are mutually exclusive");
-    if (config.enable_oracle || audit) {
+    if (run.oracle || run.audit) {
       die("--oracle/--audit need one address space; use --node=all");
     }
     if (!timeline_file.empty()) {
@@ -878,7 +653,7 @@ int main(int argc, char** argv) {
       child_args.push_back("--telemetry-base-port=" +
                            std::to_string(telemetry_base_port));
     }
-    if (telemetry && verbose && telemetry_base_port != 0) {
+    if (telemetry && run.verbose && telemetry_base_port != 0) {
       std::fprintf(stderr,
                    "harness: telemetry on 127.0.0.1:%u..%u (/metrics)\n",
                    telemetry_base_port,
@@ -892,7 +667,7 @@ int main(int argc, char** argv) {
       child_args.push_back("--service-base-port=" +
                            std::to_string(service_base_port));
     }
-    if (serve && verbose && service_base_port != 0) {
+    if (serve && run.verbose && service_base_port != 0) {
       std::fprintf(stderr, "harness: service on 127.0.0.1:%u..%u\n",
                    service_base_port,
                    service_base_port + (unsigned)config.nodes - 1);
@@ -920,7 +695,7 @@ int main(int argc, char** argv) {
         die("cannot create --data-dir '" + data_dir + "'");
       }
     }
-    if (metrics_json && metrics_json_file.empty()) {
+    if (run.metrics_json && run.metrics_json_file.empty()) {
       die("--spawn needs --metrics-json=FILE (children would interleave "
           "one stdout)");
     }
@@ -934,12 +709,12 @@ int main(int argc, char** argv) {
         extra[k].push_back("--data-dir=" + data_dir + "/node-" +
                            std::to_string(k));
       }
-      if (metrics_json) {
-        extra[k].push_back("--metrics-json=" + metrics_json_file + ".node" +
+      if (run.metrics_json) {
+        extra[k].push_back("--metrics-json=" + run.metrics_json_file + ".node" +
                            std::to_string(k));
       }
     }
-    return run_spawn_harness(child_args, config.nodes, kills, verbose,
+    return run_spawn_harness(child_args, config.nodes, kills, run.verbose,
                              recover_cold, extra);
   }
 
@@ -955,7 +730,7 @@ int main(int argc, char** argv) {
     const std::uint32_t node =
         static_cast<std::uint32_t>(parse_u64(node_arg, "--node"));
     if (node >= topo.nodes.size()) die("--node out of range");
-    if (config.enable_oracle || audit) {
+    if (run.oracle || run.audit) {
       die("--oracle/--audit need one address space; use --node=all");
     }
     if (topology_file.empty() && base_port == 0) {
@@ -984,7 +759,7 @@ int main(int argc, char** argv) {
     nc.serve = serve;
     nc.service_port = service_port;
     std::unique_ptr<TraceRecorder> trace;
-    if (enable_trace) {
+    if (config.enable_trace) {
       trace = std::make_unique<TraceRecorder>();
       nc.trace = trace.get();
     }
@@ -995,40 +770,41 @@ int main(int argc, char** argv) {
       // per-node JSONL files merge (optrec_trace_merge) on a shared axis.
       trace->set_origin(node, unix_micros() - runner.clock().now());
     }
-    if (verbose && runner.telemetry_port() != 0) {
+    if (run.verbose && runner.telemetry_port() != 0) {
       std::fprintf(stderr, "node %u: telemetry on %s:%u\n", node,
                    topo.node(node).host.c_str(), runner.telemetry_port());
     }
-    if (verbose && runner.service_port() != 0) {
+    if (run.verbose && runner.service_port() != 0) {
       std::fprintf(stderr, "node %u: service on %s:%u\n", node,
                    topo.node(node).host.c_str(), runner.service_port());
     }
     const TcpNodeResult result = runner.run();
-    if (trace != nullptr && !trace_file.empty()) {
-      write_trace(trace_file, trace_format, trace->events());
-    }
-    telemetry::RecoveryTimelineReport timeline;
-    if (trace != nullptr) {
-      timeline = telemetry::analyze_recovery_timeline(trace->events());
-      if (!timeline_file.empty()) write_timeline_file(timeline_file, timeline);
-    }
-    if (metrics_json) {
+    RunOutcome outcome;
+    outcome.quiesced = result.quiesced;
+    outcome.clean_exit = result.exit_code;
+    if (trace != nullptr) outcome.events = &trace->events();
+    const RunVerdict verdict = finish_run(run, outcome);
+    write_timeline_file(timeline_file, outcome.events);
+    const WallClockRun report = WallClockRun::of(result);
+    if (run.metrics_json) {
       emit_metrics_json(
-          metrics_json_file,
-          result_json(config, "node", node, result.exit_code, result.quiesced,
-                      result.wall_time, result.metrics, result.net, result.tcp,
-                      result.delivery_latency_us, 0, false, 0,
-                      trace != nullptr ? &timeline : nullptr,
-                      &result.durable, &result.service));
+          run, wall_clock_json(
+                   "tcp", run, outcome, verdict, report,
+                   [&](JsonWriter& w) {
+                     w.kv("mode", "node");
+                     w.kv("node", node);
+                     w.kv("tcp_nodes", std::uint64_t{config.nodes});
+                   },
+                   [&](JsonWriter& w) {
+                     write_tcp_blocks(w, result.tcp, result.durable,
+                                      result.service);
+                   }));
     } else {
-      char head[64];
-      std::snprintf(head, sizeof head, "node %u", node);
-      print_summary(head, result.quiesced, result.wall_time, result.metrics,
-                    result.net, result.tcp, result.delivery_latency_us,
-                    &result.durable);
-      print_service_summary(result.service);
+      const std::string head = "node " + std::to_string(node);
+      print_wall_clock_summary(head.c_str(), result.quiesced, report);
+      print_tcp_summary(result.tcp, result.durable, result.service);
     }
-    return result.exit_code;
+    return verdict.exit_code;
   }
 
   // ---- --node=all: whole fleet in-process ----------------------------
@@ -1049,49 +825,25 @@ int main(int argc, char** argv) {
     config.data_dir = data_dir;
   }
 
-  if (!metrics_json) {
-    std::printf(
-        "tcp: protocol=%s workload=%s n=%zu nodes=%zu seed=%llu crashes=%zu\n\n",
-        protocol_name(config.protocol), config.workload.name().c_str(),
-        config.n, config.nodes, (unsigned long long)config.seed, crashes);
+  if (!run.metrics_json) {
+    print_banner("tcp: ", run, " nodes=" + std::to_string(config.nodes));
   }
 
   TcpCluster cluster(config);
   const TcpClusterResult result = cluster.run();
 
-  std::vector<std::string> violations;
-  if (config.enable_oracle && cluster.oracle() != nullptr) {
-    violations = cluster.oracle()->check_consistency();
+  RunOutcome outcome;
+  outcome.quiesced = result.quiesced;
+  if (cluster.oracle() != nullptr) {
+    outcome.violations = cluster.oracle()->check_consistency();
   }
-  const std::vector<TraceEvent>* events = nullptr;
-  if (cluster.trace() != nullptr) events = &cluster.trace()->events();
-  if (!trace_file.empty() && events != nullptr) {
-    write_trace(trace_file, trace_format, *events);
-  }
-  telemetry::RecoveryTimelineReport timeline;
-  if (events != nullptr) {
-    timeline = telemetry::analyze_recovery_timeline(*events);
-    if (!timeline_file.empty()) write_timeline_file(timeline_file, timeline);
-  }
-
-  bool audit_ok = true;
-  std::size_t audit_violations = 0;
-  if (audit && events != nullptr) {
-    const AuditReport report = audit_trace(*events);
-    audit_ok = report.ok();
-    audit_violations = report.violations.size();
-    if (!metrics_json) std::printf("%s\n", report.summary().c_str());
-    for (const std::string& v : report.violations) {
-      std::fprintf(stderr, "audit !! %s\n", v.c_str());
-    }
-  }
-
+  if (cluster.trace() != nullptr) outcome.events = &cluster.trace()->events();
   // Serving fleets never quiesce (the cap is their scheduled end); take the
   // nodes' own verdict instead of recomputing 4 from !quiesced.
-  const int exit_code = !violations.empty() || !audit_ok ? 3
-                        : serve                          ? result.exit_code
-                        : !result.quiesced               ? 4
-                                                         : 0;
+  if (serve) outcome.clean_exit = result.exit_code;
+  const RunVerdict verdict = finish_run(run, outcome);
+  write_timeline_file(timeline_file, outcome.events);
+
   // Cluster-wide durable totals (in-process runs always start fresh, so
   // this is the write-path footprint, not a recovery report).
   TcpNodeResult::DurableSummary durable;
@@ -1119,24 +871,22 @@ int main(int argc, char** argv) {
     durable.manifest_writes += nr.durable.manifest_writes;
     durable.compactions += nr.durable.compactions;
   }
-  if (metrics_json) {
-    emit_metrics_json(
-        metrics_json_file,
-        result_json(config, "all", 0, exit_code, result.quiesced,
-                    result.wall_time, result.metrics, result.net, result.tcp,
-                    result.delivery_latency_us, violations.size(), audit,
-                    audit_violations, events != nullptr ? &timeline : nullptr,
-                    &durable, &service));
-    return exit_code;
+  const WallClockRun report = WallClockRun::of(result);
+  if (run.metrics_json) {
+    emit_metrics_json(run, wall_clock_json(
+                               "tcp", run, outcome, verdict, report,
+                               [&](JsonWriter& w) {
+                                 w.kv("mode", "all");
+                                 w.kv("tcp_nodes", std::uint64_t{config.nodes});
+                               },
+                               [&](JsonWriter& w) {
+                                 write_tcp_blocks(w, result.tcp, durable,
+                                                  service);
+                               }));
+    return verdict.exit_code;
   }
-
-  print_summary("cluster", result.quiesced, result.wall_time, result.metrics,
-                result.net, result.tcp, result.delivery_latency_us, &durable);
-  print_service_summary(service);
-  if (config.enable_oracle) {
-    std::printf("oracle     consistency=%s\n",
-                violations.empty() ? "OK" : "VIOLATED");
-    for (const auto& v : violations) std::printf("  !! %s\n", v.c_str());
-  }
-  return exit_code;
+  print_wall_clock_summary("cluster", result.quiesced, report);
+  print_tcp_summary(result.tcp, durable, service);
+  print_oracle_lines(run, outcome.violations);
+  return verdict.exit_code;
 }

@@ -41,6 +41,36 @@ TEST(FailurePlanTest, ConcurrentPlanSharesInstant) {
   EXPECT_EQ(plan.crashes[1].at, plan.crashes[2].at);
 }
 
+// perfbench/src/crash_sim.cpp keeps its own copy of the seeded draw (two
+// simultaneous crashes, then two apart, n = 8); these are the plans that
+// copy draws for four unit seeds. The shared helper must draw the same.
+TEST(FailurePlanTest, SeededPlanMatchesTheBenchmarkDraw) {
+  const std::vector<std::pair<std::uint64_t, std::vector<CrashEvent>>> golden =
+      {{1, {{90248, 7}, {90248, 1}, {104751, 6}, {132856, 2}}},
+       {7, {{71254, 4}, {153809, 6}, {186598, 0}, {186598, 0}}},
+       {1000003, {{37920, 6}, {111115, 0}, {193426, 1}, {193426, 5}}},
+       {2000013, {{30522, 7}, {30522, 1}, {140804, 1}, {170871, 5}}}};
+  for (const auto& [seed, crashes] : golden) {
+    const FailurePlan plan = FailurePlan::seeded(seed, 8, 2, 2);
+    ASSERT_EQ(plan.crashes.size(), crashes.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < crashes.size(); ++i) {
+      EXPECT_EQ(plan.crashes[i].at, crashes[i].at) << "seed " << seed;
+      EXPECT_EQ(plan.crashes[i].pid, crashes[i].pid) << "seed " << seed;
+    }
+  }
+}
+
+TEST(FailurePlanTest, SeededSimultaneousCrashesShareOneInstant) {
+  const FailurePlan plan = FailurePlan::seeded(11, 6, 0, 3);
+  ASSERT_EQ(plan.crashes.size(), 3u);
+  for (const CrashEvent& c : plan.crashes) {
+    EXPECT_EQ(c.at, plan.crashes[0].at);
+    EXPECT_GE(c.at, millis(20));
+    EXPECT_LE(c.at, millis(200));
+  }
+  EXPECT_TRUE(FailurePlan::seeded(11, 6, 0).crashes.empty());
+}
+
 TEST(FailurePlanTest, EmptyPlans) {
   Rng rng(9);
   EXPECT_TRUE(FailurePlan::random(rng, 0, 5, 0, 1).crashes.empty());

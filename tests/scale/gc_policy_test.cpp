@@ -26,11 +26,17 @@ TEST(GcPolicyTest, TokenLogCompactionKeepsLastPerVersion) {
   StableStorage storage;
   // Three tokens for (p1, v1) — only the last matters on replay — plus one
   // each for (p1, v2) and (p2, v1).
-  storage.log_token(Token{1, {1, 10}});
-  storage.log_token(Token{1, {1, 20}});
-  storage.log_token(Token{2, {1, 5}});
-  storage.log_token(Token{1, {1, 30}});
-  storage.log_token(Token{1, {2, 40}});
+  const auto token = [](ProcessId from, FtvcEntry failed) {
+    Token t;
+    t.from = from;
+    t.failed = failed;
+    return t;
+  };
+  storage.log_token(token(1, {1, 10}));
+  storage.log_token(token(1, {1, 20}));
+  storage.log_token(token(2, {1, 5}));
+  storage.log_token(token(1, {1, 30}));
+  storage.log_token(token(1, {2, 40}));
   const std::size_t removed = storage.compact_token_log();
   EXPECT_EQ(removed, 2u);  // the two earlier (p1, v1) tokens
   const auto& log = storage.token_log();

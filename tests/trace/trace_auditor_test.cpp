@@ -25,9 +25,7 @@ ScenarioConfig base_config(ProtocolKind protocol, std::uint64_t seed,
   config.workload.all_seed = true;
   config.enable_oracle = false;
   config.enable_trace = true;
-  Rng rng(seed * 977 + 3);
-  config.failures =
-      FailurePlan::random(rng, n, crashes, millis(20), millis(200));
+  config.failures = FailurePlan::seeded(seed, n, crashes);
   return config;
 }
 

@@ -24,9 +24,7 @@ ScenarioConfig traced_config(std::uint64_t seed) {
   config.workload.all_seed = true;
   config.enable_oracle = false;
   config.enable_trace = true;
-  Rng rng(seed * 977 + 3);
-  config.failures =
-      FailurePlan::random(rng, config.n, 2, millis(20), millis(120));
+  config.failures = FailurePlan::seeded(seed, config.n, 2, 0, millis(120));
   return config;
 }
 

@@ -95,7 +95,9 @@ TEST(TimingWheelTest, FarFutureEntriesClampAndRecascade) {
     now = std::max(now + 1, wheel.next_deadline());
     ASSERT_LE(now, target * 2) << "lost beyond-span entry";
     wheel.advance(now, out);
-    if (!out.empty()) EXPECT_GE(now, target);
+    if (!out.empty()) {
+      EXPECT_GE(now, target);
+    }
   }
   EXPECT_EQ(out, std::vector<int>{42});
 }
