@@ -86,11 +86,7 @@ Ftvc Ftvc::decode(Reader& r) {
   return c;
 }
 
-std::size_t Ftvc::wire_size() const {
-  Writer w;
-  encode(w);
-  return w.size();
-}
+std::size_t Ftvc::wire_size() const { return encoded_size(*this); }
 
 std::string Ftvc::to_string() const {
   std::ostringstream os;

@@ -53,11 +53,7 @@ VectorClock VectorClock::decode(Reader& r) {
   return c;
 }
 
-std::size_t VectorClock::wire_size() const {
-  Writer w;
-  encode(w);
-  return w.size();
-}
+std::size_t VectorClock::wire_size() const { return encoded_size(*this); }
 
 std::string VectorClock::to_string() const {
   std::ostringstream os;

@@ -133,11 +133,7 @@ History History::decode(Reader& r) {
   return h;
 }
 
-std::size_t History::byte_size() const {
-  Writer w;
-  encode(w);
-  return w.size();
-}
+std::size_t History::byte_size() const { return encoded_size(*this); }
 
 std::string History::to_string() const {
   std::ostringstream os;

@@ -139,7 +139,7 @@ MsgId LiveTransport::send(Message msg) {
     }
   }
   // Encode once into a pooled buffer; a duplicate delivery shares the ref.
-  FrameRef wire = FramePool::global().wrap(encode_message_frame(msg));
+  FrameRef wire = encode_message_frame(msg, FramePool::global());
   if (app && rng.chance(faults_.duplicate_prob)) {
     messages_duplicated_.fetch_add(1, std::memory_order_relaxed);
     push_wire(msg.src, msg.dst, wire, app, /*token=*/false, draw_delay(rng));
@@ -182,7 +182,7 @@ void LiveTransport::broadcast_token(const Token& token) {
     b.dst_delays.emplace_back(dst, draw_delay(rng));
   }
   if (b.dst_delays.empty()) return;
-  b.wire = FramePool::global().wrap(encode_token_frame(token));
+  b.wire = encode_token_frame(token, FramePool::global());
   {
     std::lock_guard<std::mutex> lock(fanout_mu_);
     fanout_queue_.push_back(std::move(b));
@@ -194,7 +194,7 @@ void LiveTransport::send_token(ProcessId dst, const Token& token) {
   tokens_sent_.fetch_add(1, std::memory_order_relaxed);
   token_bytes_.fetch_add(token_wire_bytes(token), std::memory_order_relaxed);
   Rng& rng = send_rng_.at(token.from);
-  push_wire(token.from, dst, FramePool::global().wrap(encode_token_frame(token)),
+  push_wire(token.from, dst, encode_token_frame(token, FramePool::global()),
             /*app=*/false, /*token=*/true, draw_delay(rng));
 }
 

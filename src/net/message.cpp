@@ -38,10 +38,8 @@ Message Message::decode(Reader& r) {
 }
 
 std::size_t Message::wire_size() const {
-  Writer w;
-  encode(w);
   // The oracle's sender_state tag is bookkeeping, not wire content.
-  return w.size() - varint_size(sender_state);
+  return encoded_size(*this) - varint_size(sender_state);
 }
 
 std::string Message::describe() const {
@@ -79,10 +77,9 @@ Token Token::decode(Reader& r) {
 }
 
 std::size_t Token::wire_size() const {
-  Writer w;
-  encode(w);
   // The metrics-attribution trailer is bookkeeping, not wire content.
-  return w.size() - varint_size(origin_pid) - varint_size(origin_ver);
+  return encoded_size(*this) - varint_size(origin_pid) -
+         varint_size(origin_ver);
 }
 
 std::string Token::describe() const {

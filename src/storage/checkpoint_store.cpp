@@ -30,11 +30,7 @@ Checkpoint Checkpoint::decode(Reader& r) {
   return c;
 }
 
-std::size_t Checkpoint::byte_size() const {
-  Writer w;
-  encode(w);
-  return w.size();
-}
+std::size_t Checkpoint::byte_size() const { return encoded_size(*this); }
 
 void CheckpointStore::append(Checkpoint checkpoint) {
   if (sink_ != nullptr) sink_->checkpoint_append(checkpoint);

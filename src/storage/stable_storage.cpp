@@ -11,6 +11,7 @@ namespace optrec {
 void StableStorage::log_token(const Token& token) {
   if (sink_ != nullptr) sink_->token_append(token);
   tokens_.push_back(token);
+  token_bytes_ += token.wire_size();
 }
 
 std::size_t StableStorage::compact_token_log() {
@@ -27,7 +28,11 @@ std::size_t StableStorage::compact_token_log() {
   std::vector<Token> compacted;
   compacted.reserve(last.size());
   for (std::size_t i = 0; i < tokens_.size(); ++i) {
-    if (keep[i]) compacted.push_back(std::move(tokens_[i]));
+    if (keep[i]) {
+      compacted.push_back(std::move(tokens_[i]));
+    } else {
+      token_bytes_ -= tokens_[i].wire_size();
+    }
   }
   const std::size_t removed = tokens_.size() - compacted.size();
   tokens_ = std::move(compacted);
@@ -35,9 +40,7 @@ std::size_t StableStorage::compact_token_log() {
 }
 
 std::size_t StableStorage::stable_bytes() const {
-  std::size_t total = checkpoints_.stable_bytes() + log_.stable_bytes();
-  for (const auto& t : tokens_) total += t.wire_size();
-  return total;
+  return checkpoints_.stable_bytes() + log_.stable_bytes() + token_bytes_;
 }
 
 void StableStorage::attach_sink(StableSink* sink) {
@@ -51,6 +54,7 @@ void StableStorage::restore_tokens(std::vector<Token> tokens) {
     throw std::logic_error("StableStorage::restore_tokens on non-empty log");
   }
   tokens_ = std::move(tokens);
+  for (const Token& t : tokens_) token_bytes_ += t.wire_size();
 }
 
 }  // namespace optrec

@@ -60,6 +60,7 @@ class StableStorage {
   CheckpointStore checkpoints_;
   MessageLog log_;
   std::vector<Token> tokens_;
+  std::size_t token_bytes_ = 0;  // sum of tokens_[i].wire_size()
   StableSink* sink_ = nullptr;
 };
 

@@ -259,7 +259,7 @@ MsgId TcpTransport::inject_local(Message msg, SimTime delay) {
   app_messages_sent_.fetch_add(1, std::memory_order_relaxed);
   message_bytes_.fetch_add(message_wire_bytes(msg), std::memory_order_relaxed);
   if (trace_) emit_send_trace(msg);
-  FrameRef wire = FramePool::global().wrap(encode_message_frame(msg));
+  FrameRef wire = encode_message_frame(msg, FramePool::global());
   push_local(msg.src, msg.dst, std::move(wire), /*app=*/true, /*token=*/false,
              delay);
   return msg.id;
@@ -324,7 +324,7 @@ MsgId TcpTransport::send(Message msg) {
 
   // Encode once into a pooled buffer; duplicates and the remote head/
   // payload split all share it.
-  FrameRef wire = FramePool::global().wrap(encode_message_frame(msg));
+  FrameRef wire = encode_message_frame(msg, FramePool::global());
 
   const auto deliver = [&](FrameRef w, SimTime delay) {
     if (local) {
@@ -372,7 +372,7 @@ void TcpTransport::broadcast_token(const Token& token) {
   const std::size_t bytes = token_wire_bytes(token);
   // One encode for the whole broadcast: every local channel frame and
   // every remote envelope payload is a clone of this ref.
-  FrameRef wire = FramePool::global().wrap(encode_token_frame(token));
+  FrameRef wire = encode_token_frame(token, FramePool::global());
   if (topo_.scale.token_fanout >= 2 && topo_.nodes.size() > 1) {
     broadcast_token_hierarchical(token, wire, rng);
     return;
@@ -472,7 +472,7 @@ void TcpTransport::send_token(ProcessId dst, const Token& token) {
   token_bytes_.fetch_add(token_wire_bytes(token), std::memory_order_relaxed);
   Rng& rng = *send_rng_.at(token.from);
   const SimTime delay = draw_delay(rng);
-  FrameRef wire = FramePool::global().wrap(encode_token_frame(token));
+  FrameRef wire = encode_token_frame(token, FramePool::global());
   const std::uint32_t dst_node = topo_.node_of(dst);
   if (dst_node == node_id_) {
     push_local(token.from, dst, std::move(wire), /*app=*/false, /*token=*/true,
@@ -937,6 +937,7 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
   }
   switch (e.kind) {
     case EnvelopeKind::kWire: {
+      FrameRef flat;  // the reconstructed frame of a delta envelope
       if (!e.wire.empty() && e.wire[0] == scale::kDeltaMessageTag) {
         // Delta-piggybacked message frame: reconstruct the flat frame here,
         // on the connection that defines the stream order, so workers only
@@ -947,7 +948,7 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
         }
         try {
           const Message m = p.delta_dec->decode_from(e.src_pid, e.wire);
-          e.wire = encode_message_frame(m);
+          flat = encode_message_frame(m, FramePool::global());
         } catch (const scale::DeltaResyncRequired&) {
           // Recoverable desync (e.g. we adopted a superseding connection the
           // peer was still staging onto): drop the connection; reconnecting
@@ -983,7 +984,8 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
       LiveFrame f;
       f.kind = LiveFrame::Kind::kWire;
       f.src = e.src_pid;
-      f.wire = FramePool::global().wrap(std::move(e.wire));
+      f.wire = flat ? std::move(flat)
+                    : FramePool::global().wrap(std::move(e.wire));
       f.app = e.app;
       f.token = e.token;
       const SimTime now = clock_.now();
@@ -1271,20 +1273,19 @@ void TcpTransport::materialize_delta(Peer& p, OutMsg& m) {
   e.app = d.app;
   e.sent_unix_us = d.sent_unix_us;
   e.delay_us = m.delta_delay;
-  Bytes wire;
   if (p.delta_enc != nullptr) {
-    wire = p.delta_enc->encode_for(d.src_pid, d.msg, d.flat_size);
+    m.payload = FramePool::global().wrap(
+        p.delta_enc->encode_for(d.src_pid, d.msg, d.flat_size));
     delta_frames_tx_.fetch_add(1, std::memory_order_relaxed);
-    delta_bytes_tx_.fetch_add(wire.size(), std::memory_order_relaxed);
+    delta_bytes_tx_.fetch_add(m.payload.size(), std::memory_order_relaxed);
     delta_flat_bytes_.fetch_add(d.flat_size, std::memory_order_relaxed);
   } else {
     // Connection cycled between queue and stage; stateless flat frame is
     // always safe.
-    wire = encode_message_frame(d.msg);
+    m.payload = encode_message_frame(d.msg, FramePool::global());
   }
-  m.head =
-      FramePool::global().wrap(frame_wire_envelope_prefix(e, wire.size()));
-  m.payload = FramePool::global().wrap(std::move(wire));
+  m.head = FramePool::global().wrap(
+      frame_wire_envelope_prefix(e, m.payload.size()));
   m.delta.reset();
 }
 

@@ -2,7 +2,7 @@
 
 namespace optrec {
 
-void Writer::put_varint(std::uint64_t v) {
+void Writer::append_varint(std::uint64_t v) {
   while (v >= 0x80) {
     out_.push_back(static_cast<std::uint8_t>(v) | 0x80);
     v >>= 7;
@@ -15,14 +15,22 @@ void Writer::put_i64(std::int64_t v) {
   put_varint((u << 1) ^ static_cast<std::uint64_t>(v >> 63));
 }
 
+void Writer::put_raw(const std::uint8_t* data, std::size_t n) {
+  if (count_only_) {
+    counted_ += n;
+  } else {
+    out_.insert(out_.end(), data, data + n);
+  }
+}
+
 void Writer::put_bytes(const Bytes& b) {
   put_varint(b.size());
-  out_.insert(out_.end(), b.begin(), b.end());
+  put_raw(b.data(), b.size());
 }
 
 void Writer::put_string(const std::string& s) {
   put_varint(s.size());
-  out_.insert(out_.end(), s.begin(), s.end());
+  put_raw(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
 }
 
 std::uint8_t Reader::get_u8() {
@@ -73,15 +81,6 @@ std::string Reader::get_string() {
                   buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
   pos_ += n;
   return out;
-}
-
-std::size_t varint_size(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
 }
 
 }  // namespace optrec

@@ -9,21 +9,58 @@ namespace {
 /// the public FrameType: diff frames only make sense between a paired
 /// DiffWireEncoder/Decoder, never on the stateless path.
 constexpr std::uint8_t kDiffMessageTag = 3;
-}  // namespace
 
-Bytes encode_message_frame(const Message& msg) {
-  Writer w;
-  w.put_u8(static_cast<std::uint8_t>(FrameType::kMessage));
-  msg.encode(w);      // ends with the sender_state telemetry trailer
-  w.put_u64(msg.id);  // substrate id, also telemetry
+struct MessageFrame {
+  const Message& msg;
+  void encode(Writer& w) const {
+    w.put_u8(static_cast<std::uint8_t>(FrameType::kMessage));
+    msg.encode(w);      // ends with the sender_state telemetry trailer
+    w.put_u64(msg.id);  // substrate id, also telemetry
+  }
+};
+
+struct TokenFrame {
+  const Token& token;
+  void encode(Writer& w) const {
+    w.put_u8(static_cast<std::uint8_t>(FrameType::kToken));
+    token.encode(w);  // ends with the attribution telemetry trailer
+  }
+};
+
+/// Encode `image` into `reuse` (cleared, capacity kept) after reserving its
+/// exact size: at most one allocation, none when the capacity suffices.
+template <class Image>
+Bytes encode_exact(const Image& image, Bytes&& reuse) {
+  const std::size_t size = encoded_size(image);
+  Writer w(std::move(reuse));
+  w.reserve(size);
+  image.encode(w);
   return w.take();
 }
 
+template <class Image>
+FrameRef encode_pooled(const Image& image, FramePool& pool) {
+  FrameRef frame = pool.acquire();
+  frame.mutable_bytes() =
+      encode_exact(image, std::move(frame.mutable_bytes()));
+  return frame;
+}
+}  // namespace
+
+Bytes encode_message_frame(const Message& msg) {
+  return encode_exact(MessageFrame{msg}, Bytes{});
+}
+
 Bytes encode_token_frame(const Token& token) {
-  Writer w;
-  w.put_u8(static_cast<std::uint8_t>(FrameType::kToken));
-  token.encode(w);  // ends with the attribution telemetry trailer
-  return w.take();
+  return encode_exact(TokenFrame{token}, Bytes{});
+}
+
+FrameRef encode_message_frame(const Message& msg, FramePool& pool) {
+  return encode_pooled(MessageFrame{msg}, pool);
+}
+
+FrameRef encode_token_frame(const Token& token, FramePool& pool) {
+  return encode_pooled(TokenFrame{token}, pool);
 }
 
 Frame decode_frame(const Bytes& wire) {

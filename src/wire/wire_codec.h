@@ -27,6 +27,7 @@
 #include "src/clocks/diff_codec.h"
 #include "src/net/message.h"
 #include "src/util/bytes.h"
+#include "src/wire/frame_buf.h"
 
 namespace optrec {
 
@@ -68,6 +69,12 @@ struct Frame {
 
 Bytes encode_message_frame(const Message& msg);
 Bytes encode_token_frame(const Token& token);
+
+/// The same frames, encoded once into a buffer taken from `pool`. The exact
+/// frame size is reserved first, so a recycled buffer of at least that
+/// capacity is reused as is and a smaller one grows once.
+FrameRef encode_message_frame(const Message& msg, FramePool& pool);
+FrameRef encode_token_frame(const Token& token, FramePool& pool);
 
 /// Decode either frame kind. Throws FrameError on malformed, truncated,
 /// oversized, or trailing-garbage input; never asserts or reads out of

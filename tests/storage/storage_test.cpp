@@ -183,5 +183,44 @@ TEST(StableStorageTest, StableBytesAccounting) {
   EXPECT_GT(storage.stable_bytes(), 0u);
 }
 
+// stable_bytes() keeps a running token-log total instead of re-sizing every
+// logged token per call; it must equal the recomputed sum after each
+// mutation of the token log.
+TEST(StableStorageTest, TokenLogBytesTrackEveryMutation) {
+  const auto recomputed = [](const StableStorage& s) {
+    std::size_t total = s.checkpoints().stable_bytes() + s.log().stable_bytes();
+    for (const Token& t : s.token_log()) total += t.wire_size();
+    return total;
+  };
+  const auto token = [](ProcessId from, Version ver, Timestamp ts,
+                        bool with_clock) {
+    Token t;
+    t.from = from;
+    t.failed = {ver, ts};
+    if (with_clock) t.restored_clock = Ftvc(from, 5);
+    return t;
+  };
+
+  StableStorage storage;
+  storage.log().append(make_msg(0));
+  storage.log().flush();
+  storage.log_token(token(1, 0, 3, false));
+  EXPECT_EQ(storage.stable_bytes(), recomputed(storage));
+  storage.log_token(token(1, 0, 300, true));  // supersedes the first
+  storage.log_token(token(2, 7, 1ull << 40, true));
+  storage.log_token(token(1, 1, 9, false));
+  EXPECT_EQ(storage.stable_bytes(), recomputed(storage));
+
+  ASSERT_EQ(storage.compact_token_log(), 1u);
+  EXPECT_EQ(storage.token_log().size(), 3u);
+  EXPECT_EQ(storage.stable_bytes(), recomputed(storage));
+
+  StableStorage restored;
+  restored.restore_tokens(storage.token_log());
+  EXPECT_EQ(restored.stable_bytes(), recomputed(restored));
+  EXPECT_EQ(restored.stable_bytes(),
+            storage.stable_bytes() - storage.log().stable_bytes());
+}
+
 }  // namespace
 }  // namespace optrec

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <utility>
 
 namespace optrec {
 namespace {
@@ -32,6 +34,39 @@ TEST(SerializationTest, PrimitiveRoundTrip) {
   EXPECT_EQ(r.get_string(), "hello");
   EXPECT_EQ(r.get_bytes(), (Bytes{1, 2, 3}));
   EXPECT_TRUE(r.at_end());
+}
+
+TEST(SerializationTest, CountOnlyWriterCountsWhatAnEncodeWritesAndStoresNothing) {
+  const auto write_all = [](Writer& w) {
+    w.put_u8(0x7f);
+    w.put_bool(false);
+    w.put_u32(std::numeric_limits<std::uint32_t>::max());
+    w.put_u64(std::numeric_limits<std::uint64_t>::max());
+    w.put_i64(std::numeric_limits<std::int64_t>::min());
+    w.put_i64(-64);
+    w.put_string(std::string(200, 'x'));
+    w.put_bytes(Bytes(130, 1));
+    w.put_bytes({});
+  };
+  Writer real;
+  write_all(real);
+  Writer counter = Writer::count_only();
+  counter.reserve(1000);
+  write_all(counter);
+  EXPECT_EQ(counter.size(), real.buffer().size());
+  EXPECT_TRUE(counter.buffer().empty());
+  EXPECT_EQ(counter.buffer().capacity(), 0u) << "count-only must not allocate";
+}
+
+TEST(SerializationTest, WriterReusesAnAdoptedBuffersCapacity) {
+  Bytes old(64, 0xee);
+  const std::uint8_t* storage = old.data();
+  Writer w(std::move(old));
+  EXPECT_EQ(w.size(), 0u);
+  w.put_bytes(Bytes(40, 1));
+  const Bytes out = w.take();
+  EXPECT_EQ(out.size(), 41u);
+  EXPECT_EQ(out.data(), storage) << "an adopted buffer must not reallocate";
 }
 
 TEST(SerializationTest, VarintSizesMatchInformationContent) {

@@ -1,6 +1,6 @@
 // FramePool / FrameRef: refcount correctness under concurrent fan-out —
 // the property the zero-copy broadcast path depends on — plus freelist
-// reuse accounting.
+// reuse accounting and the pooled frame encode's capacity reuse.
 #include "src/wire/frame_buf.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,8 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "src/wire/wire_codec.h"
 
 namespace optrec {
 namespace {
@@ -47,6 +49,33 @@ TEST(FrameBufTest, LastReleaseRecyclesIntoFreelist) {
   s = pool.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 1u);
+}
+
+// The steady-state send path: once a frame is released, the next encode of
+// an equal-size frame takes the same node and writes into its capacity.
+TEST(FrameBufTest, PooledEncodeAfterReleaseReusesTheNodesCapacity) {
+  FramePool pool;
+  Message m;
+  m.src = 1;
+  m.dst = 2;
+  m.clock = Ftvc(1, 8);
+  m.payload = Bytes(100, 0x5a);
+  const std::uint8_t* storage = nullptr;
+  std::size_t capacity = 0;
+  {
+    const FrameRef first = encode_message_frame(m, pool);
+    storage = first.data();
+    capacity = first.bytes().capacity();
+    EXPECT_EQ(capacity, first.size()) << "the encode reserves the exact size";
+  }
+  m.send_seq = 1;  // same encoded size, different bytes
+  const FrameRef second = encode_message_frame(m, pool);
+  const FramePool::Stats s = pool.stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(second.data(), storage) << "the recycled buffer must be reused";
+  EXPECT_EQ(second.bytes().capacity(), capacity);
+  EXPECT_EQ(second.bytes(), encode_message_frame(m));
 }
 
 TEST(FrameBufTest, OversizedBuffersAreDiscardedNotPooled) {

@@ -157,6 +157,47 @@ TEST(WireCodecTest, MalformedFramesThrow) {
   EXPECT_THROW(decode_frame(truncated), DecodeError);
 }
 
+// Frame images pinned from the codec before frames were encoded into pooled
+// buffers: both encode_*_frame overloads must still produce them byte for
+// byte (a u32 at 2^32 - 1, a u64 at 2^63 + 7 and 2^64 - 1, a retransmission,
+// a clock and a restored clock).
+TEST(WireCodecTest, FramesMatchPinnedBytes) {
+  Message m;
+  m.id = 0x0000012345678901ull;
+  m.kind = MessageKind::kApp;
+  m.src = 2;
+  m.dst = 5;
+  m.src_version = 0xffffffffu;
+  m.send_seq = (1ull << 63) + 7;
+  m.clock = Ftvc::with_entries(
+      2, {{0, 3}, {1, 200}, {0xffffffffu, 1ull << 40}, {0, 0}});
+  for (int i = 0; i < 20; ++i) {
+    m.payload.push_back(static_cast<std::uint8_t>(i * 37));
+  }
+  m.retransmission = true;
+  m.sender_state = ~0ull;
+  const std::string message_hex =
+      "01000205ffffffff0f8780808080808080800101010204000301c801ffffffff0f8080"
+      "8080802000001400254a6f94b9de03284d7297bce1062b50759abfffffffffffffffff"
+      "ff0181929eabb424";
+
+  Token t;
+  t.from = 3;
+  t.failed = {2, 77};
+  t.restored_clock = Ftvc::with_entries(3, {{0, 5}, {2, 77}, {0, 1}, {1, 9}});
+  t.origin_pid = 1;
+  t.origin_ver = 4;
+  const std::string token_hex = "0203024d0103040005024d000101090104";
+
+  FramePool pool;
+  EXPECT_EQ(to_hex(encode_message_frame(m)), message_hex);
+  EXPECT_EQ(to_hex(encode_message_frame(m, pool).bytes()), message_hex);
+  EXPECT_EQ(to_hex(encode_token_frame(t)), token_hex);
+  EXPECT_EQ(to_hex(encode_token_frame(t, pool).bytes()), token_hex);
+  EXPECT_EQ(message_wire_bytes(m), 62u);
+  EXPECT_EQ(token_wire_bytes(t), 15u);
+}
+
 TEST(WireCodecTest, WireBytesMatchFrameMinusTelemetry) {
   Rng rng(99);
   for (int i = 0; i < 100; ++i) {
